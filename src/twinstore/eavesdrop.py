@@ -8,14 +8,21 @@ statement: with uniform independent randomness and payload,
 
     I(payload; e) = (rank(M) - rank(M restricted to random columns)) * log q.
 
-`leakage` evaluates that rank gap in closed form from the ranks of the
-observed nodes' generator columns (two eliminations of at most k-1 rows
-of length k), valid whenever every observed repair's helpers span F^k;
-otherwise it falls back to `leakage_by_elimination`, the reference
-oracle that eliminates M itself, counting pivots left of / right of the
-random block.  For tiny instances both are cross-checked against
-brute-force mutual information computed by enumerating every source
-vector.
+`leakage` and `independent_symbol_count` evaluate rank(M) and that rank
+gap in closed form from the ranks of the observed nodes' generator
+columns (two eliminations of at most k-1 rows of length k, done once per
+Observation and shared by both).  Type 1 nodes with column rank u1
+expose F^k (x) U1, Type 2 nodes with column rank u2 expose U2 (x) F^k,
+and the two meet in U2 (x) U1, so
+
+    rank(M) = k(u1 + u2) - u1*u2.
+
+Both closed forms hold whenever every observed repair's helpers span
+F^k; otherwise they fall back to eliminating M itself: `obs.matrix.rank()`
+and `leakage_by_elimination`, the reference oracle that counts pivots
+left of / right of the random block.  For tiny instances both are
+cross-checked against brute-force mutual information computed by
+enumerating every source vector.
 
 Observation rows are assembled symbolically from generator columns, so
 the result is a property of the scheme rather than of one random draw.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .errors import (
     MissingRepairPlan,
 )
 from .field import FieldMatrix, _pivot_columns, in_row_space
-from .framework import TwinSystem, opposite_type
+from .framework import TwinSystem, default_helpers, opposite_type
 from .secure import SecureLayout
 
 
@@ -72,11 +80,11 @@ class EavesdropperSpec:
 class Observation:
     """Eavesdropper view: functionals over the source vector plus values.
 
-    observe() also records the structure the closed-form leakage needs:
-    the type and generator column of every observed node (storage reads,
-    then repaired nodes) and whether every observed repair's helpers span
-    F^k.  An Observation built without that structure is measured by
-    elimination.
+    observe() also records the structure the closed forms for rank and
+    leakage need: the type and generator column of every observed node
+    (storage reads, then repaired nodes) and whether every observed
+    repair's helpers span F^k.  An Observation built without that
+    structure is measured by elimination.
     """
 
     matrix: FieldMatrix       # one row per observed symbol, k*k columns
@@ -91,6 +99,27 @@ class Observation:
 
     def label(self, coord: int) -> str:
         return f"r{coord + 1}" if coord in set(self.random_cols) else f"a{coord + 1}"
+
+    @cached_property
+    def _column_ranks(self):
+        """(u, u', v) of the closed forms, or None where they do not apply.
+
+        u = rank of the observed protected-type columns, u' = pivots of that
+        same elimination among the first l coordinates (the rank of those
+        columns' first l rows), v = rank of the other-type columns.
+        """
+        if self.node_vectors is None or not self.helpers_span:
+            return None
+        l = len(self.random_cols) // self.k
+        p = self.matrix.field.p
+        own = np.array([t == self.protected_type for t in self.node_types],
+                       dtype=bool)
+        own_cols, other_cols = self.node_vectors[own], self.node_vectors[~own]
+        # an empty group has rank 0: no elimination
+        pivots = _pivot_columns(own_cols, p) if len(own_cols) else ()
+        u_low = sum(1 for c in pivots if c < l)
+        v = len(_pivot_columns(other_cols, p)) if len(other_cols) else 0
+        return len(pivots), u_low, v
 
 
 def _storage_rows(k: int, node_type: int, g: np.ndarray, p: int) -> np.ndarray:
@@ -189,19 +218,28 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
 
 
 def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
-    """Lowest-index live opposite-type helpers for every e2 node."""
-    plans = {}
-    for node_type, j in spec.e2:
-        helper_type = opposite_type(node_type)
-        usable = [h for h in system.live_indices(helper_type)
-                  if not system.node(helper_type, h).is_empty]
-        plans[(node_type, j)] = tuple(usable[: system.config.k])
-    return plans
+    """The default repair helpers (framework.default_helpers) per e2 node."""
+    return {(t, j): default_helpers(system, t) for t, j in spec.e2}
 
 
 def independent_symbol_count(obs: Observation) -> int:
-    """Number of linearly independent observed symbols: rank(M)."""
-    return obs.matrix.rank()
+    """Number of linearly independent observed symbols: rank(M), in closed form.
+
+    With u1 and u2 the ranks of the observed Type 1 and Type 2 generator
+    columns, the observed space is F^k (x) U1 + U2 (x) F^k, whose two
+    terms meet in U2 (x) U1:
+
+        rank(M) = k(u1 + u2) - u1*u2.
+
+    Same precondition and fallback as `leakage`: where an observed
+    repair's helpers do not span F^k, or the Observation lacks the
+    recorded node structure, this returns obs.matrix.rank().
+    """
+    ranks = obs._column_ranks
+    if ranks is None:
+        return obs.matrix.rank()
+    u, _, v = ranks
+    return obs.k * (u + v) - u * v
 
 
 def leakage(obs: Observation) -> int:
@@ -220,23 +258,20 @@ def leakage(obs: Observation) -> int:
 
     One elimination of the stacked type-P columns yields u, and its pivots
     among the first l coordinates count u'; a second yields v when
-    other-type nodes are observed.
+    other-type nodes are observed.  Both are computed once per Observation
+    and shared with `independent_symbol_count`.
 
     Precondition: every observed repair's helper columns span F^k (the MDS
     property).  observe() checks that for each helper set; where it fails,
     or for an Observation that lacks the recorded node structure, this
     returns leakage_by_elimination(obs), so the two never disagree.
     """
-    if obs.node_vectors is None or not obs.helpers_span:
+    ranks = obs._column_ranks
+    if ranks is None:
         return leakage_by_elimination(obs)
+    u, u_low, v = ranks
     k = obs.k
     l = len(obs.random_cols) // k
-    p = obs.matrix.field.p
-    own = np.array([t == obs.protected_type for t in obs.node_types], dtype=bool)
-    pivots = _pivot_columns(obs.node_vectors[own], p)
-    u = len(pivots)
-    u_low = sum(1 for c in pivots if c < l)
-    v = len(_pivot_columns(obs.node_vectors[~own], p))
     return (k - v) * (u - u_low) + v * (k - l)
 
 

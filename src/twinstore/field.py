@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from ._fastrank import fast_pivot_columns
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -151,16 +150,9 @@ def _row_reduce(arr: np.ndarray, p: int, reduced: bool = True):
 
 
 def _pivot_columns(arr: np.ndarray, p: int) -> tuple:
-    """Pivot columns of the row echelon form of arr over F_p.
-
-    Uses the compiled kernel when numba is installed; the pure-numpy
-    elimination is the reference implementation and the fallback.
-    """
+    """Pivot columns of the row echelon form of arr over F_p."""
     if 0 in arr.shape:
         return ()
-    fast = fast_pivot_columns(arr, p)
-    if fast is not None:
-        return fast
     _, piv = _row_reduce(arr, p, reduced=False)
     return piv
 
@@ -226,11 +218,7 @@ class FieldMatrix:
         return len(self.pivot_columns())
 
     def pivot_columns(self) -> tuple:
-        """Pivot column indices of the row echelon form.
-
-        Uses the compiled kernel when numba is installed; the pure-numpy
-        elimination is the reference implementation and the fallback.
-        """
+        """Pivot column indices of the row echelon form."""
         return _pivot_columns(self.array, self.field.p)
 
     def rref(self) -> "FieldMatrix":

@@ -409,11 +409,18 @@ def helper_share(helper: NodeContent, target: EncodingVector) -> int:
     return int((coeff * helper.symbols % p).sum() % p)
 
 
+def usable_nodes(system: TwinSystem, node_type: int) -> list:
+    """Ascending indices of the live nodes of one type that hold data."""
+    return [j for j in system.live_indices(node_type)
+            if not system.node(node_type, j).is_empty]
+
+
 def default_helpers(system: TwinSystem, failed_type: int) -> tuple:
-    """Lowest-index live opposite-type nodes (the default repair policy)."""
-    helper_type = opposite_type(failed_type)
-    usable = [j for j in system.live_indices(helper_type)
-              if not system.node(helper_type, j).is_empty]
+    """Lowest-index usable opposite-type nodes (the default repair policy).
+
+    Shorter than k when fewer than k opposite-type nodes are usable.
+    """
+    usable = usable_nodes(system, opposite_type(failed_type))
     return tuple(usable[: system.config.k])
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from . import framework
 from .eavesdrop import (
     EavesdropperSpec,
-    default_repair_plans,
     eavesdrop_report,
     independent_symbol_count,
     leakage,
@@ -346,11 +345,6 @@ def _static_liveness_walk(scenario: Scenario):
 # ----------------------------------------------------------------------
 # Execution.
 
-def _usable(system, node_type):
-    return [j for j in system.live_indices(node_type)
-            if not system.node(node_type, j).is_empty]
-
-
 def run(scenario: Scenario) -> EventLog:
     """Execute the events; byte-identical logs for identical scenarios."""
     config = scenario.config
@@ -369,12 +363,12 @@ def run(scenario: Scenario) -> EventLog:
             system = framework.fail_node(system, event.node_type, event.index)
             record(event)
         elif isinstance(event, Repair):
-            helper_type = opposite_type(event.node_type)
-            if event.helpers is None and len(_usable(system, helper_type)) < k:
-                record(event, ok=False, error="RepairStarvation")
-                continue
-            helpers = (event.helpers if event.helpers is not None
-                       else framework.default_helpers(system, event.node_type))
+            helpers = event.helpers
+            if helpers is None:
+                helpers = framework.default_helpers(system, event.node_type)
+                if len(helpers) < k:
+                    record(event, ok=False, error="RepairStarvation")
+                    continue
             try:
                 system, _ = framework.repair(system, event.node_type,
                                              event.index, helpers)
@@ -386,8 +380,7 @@ def run(scenario: Scenario) -> EventLog:
         elif isinstance(event, Reconstruct):
             nodes = event.nodes
             if nodes is None:
-                usable = _usable(system, event.node_type)
-                nodes = tuple(usable[:k])
+                nodes = tuple(framework.usable_nodes(system, event.node_type)[:k])
             try:
                 recovered = framework.reconstruct(system, event.node_type, nodes)
             except TwinstoreError as exc:
@@ -453,6 +446,8 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     exhaustive = total_specs <= enumeration_limit
 
     system = framework.encode_system(config, layout.matrix)
+    # the system never changes here, so each failed type's helpers are fixed
+    helpers = {t: framework.default_helpers(system, t) for t in (1, 2)}
     rng = np.random.default_rng(seed)
 
     def spec_iter():
@@ -478,7 +473,7 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     rows = []
     worst = {}
     for l1, l2, spec in spec_iter():
-        obs = observe(system, layout, spec, default_repair_plans(system, spec))
+        obs = observe(system, layout, spec, {n: helpers[n[0]] for n in spec.e2})
         leak = leakage(obs)
         rows.append({
             "e1": [list(x) for x in spec.e1],

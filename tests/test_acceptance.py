@@ -27,15 +27,6 @@ from twinstore.errors import NotMds
 from conftest import build_config
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels(demo_config, demo_layout):
-    # first leakage call may JIT-compile the echelon kernel; keep that out
-    # of the timed sections
-    system = ts.encode_system(demo_config, demo_layout.matrix)
-    spec = ts.EavesdropperSpec.of([(1, 1)], [])
-    ts.leakage(ts.observe(system, demo_layout, spec, {}))
-
-
 class Timer:
     def __init__(self, budget_s):
         self.budget = budget_s

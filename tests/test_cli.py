@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from twinstore import make_secure_layout, sweep_eavesdroppers
 from twinstore.cli import main
 from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.field import FieldMatrix, PrimeField
-from twinstore.framework import TwinSystem
+from twinstore.framework import TwinConfig, TwinSystem
 from twinstore.mds import code_to_json, load_explicit
 
 from test_sim import demo_scenario_doc
@@ -192,3 +194,32 @@ class TestEavesdrop:
                      if r["e1"] and not r["e2"]
                      and all(t == 1 for t, _ in r["e1"])]
         assert protected and all(r["leakage"] == 0 for r in protected)
+
+    # sha256 of the report bytes of one small exhaustive sweep (243 specs)
+    # per code style, and of one seeded sampled sweep's rows; a faster
+    # leakage or rank oracle must leave every byte unchanged
+    @pytest.mark.parametrize("style, digest", [
+        ("vandermonde",
+         "62472054bb734a270087dd460a9ccde7f471fbc811e036ad8e1460ecb2736aa4"),
+        ("systematic",
+         "b801598b088b7b95fc91014a7edc1238a5e366e34d2563575d21a1b6c43e2aad"),
+    ])
+    def test_sweep_report_bytes_pinned(self, tmp_path, style, digest):
+        out = tmp_path / "sweep.json"
+        assert main(["eavesdrop", "--q", "11", "--k", "4", "--n1", "5",
+                     "--n2", "6", "--l1", "1", "--l2", "1", "--style", style,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_sampled_sweep_rows_pinned(self):
+        f11 = PrimeField(11)
+        config = TwinConfig.build(f11, 5, 6, 4, "vandermonde")
+        layout = make_secure_layout([0] * 8, 1, 1, 4, f11, seed=0)
+        result = sweep_eavesdroppers(config, layout, max_budget=3, seed=3,
+                                     enumeration_limit=50,
+                                     samples_per_split=6)
+        assert not result.exhaustive and len(result.rows) == 55
+        blob = json.dumps([result.rows, sorted(result.worst_leakage.items()),
+                           result.exhaustive], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "744a3cf72ba6cfbb053fbc43dce44320b93c3af9de7304ecb3c6064508e331de")

@@ -31,7 +31,8 @@ from twinstore.errors import (
     InstanceTooLarge,
     MissingRepairPlan,
 )
-from twinstore.field import vstack
+from twinstore import eavesdrop
+from twinstore.field import _pivot_columns, vstack
 
 from conftest import build_config
 
@@ -173,7 +174,8 @@ def _random_spec(rng, config, size):
 
 
 class TestClosedFormLeakage:
-    """The closed form (k-v)(u-u') + v(k-l) against the elimination oracle."""
+    """The closed forms (k-v)(u-u') + v(k-l) for leakage and k(u+v) - uv
+    for rank(M) against elimination of the observation matrix."""
 
     @pytest.mark.parametrize("q", [11, 101])
     @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
@@ -200,6 +202,9 @@ class TestClosedFormLeakage:
                             assert obs.helpers_span  # closed form path taken
                             assert leakage(obs) == leakage_by_elimination(obs), (
                                 k, l1, l2, prot, spec, plans)
+                            assert (independent_symbol_count(obs)
+                                    == obs.matrix.rank()), (
+                                k, l1, l2, prot, spec, plans)
                             checked += 1
         assert checked == 8 * 2 * sum(k * (k + 1) // 2 for k in range(2, 7))
 
@@ -219,8 +224,11 @@ class TestClosedFormLeakage:
         obs = observe(system, layout, spec, {(2, 1): (1, 2, 3)})
         assert not obs.helpers_span
         assert leakage(obs) == leakage_by_elimination(obs) == 1
-        # the unguarded closed form would report 2
-        assert leakage(dataclasses.replace(obs, helpers_span=True)) == 2
+        assert independent_symbol_count(obs) == obs.matrix.rank() == 2
+        # the unguarded closed forms would report 2 and 3
+        unguarded = dataclasses.replace(obs, helpers_span=True)
+        assert leakage(unguarded) == 2
+        assert independent_symbol_count(unguarded) == 3
 
     def test_observation_without_structure_uses_elimination(self, cross_type_obs):
         bare = Observation(matrix=cross_type_obs.matrix,
@@ -229,6 +237,26 @@ class TestClosedFormLeakage:
                            payload_cols=cross_type_obs.payload_cols,
                            k=cross_type_obs.k)
         assert leakage(bare) == leakage(cross_type_obs) == 2
+        assert (independent_symbol_count(bare)
+                == independent_symbol_count(cross_type_obs) == 7)
+
+    def test_rank_and_leakage_share_one_column_rank_pass(
+            self, monkeypatch, demo_system, demo_layout):
+        shapes = []
+
+        def counting(arr, p):
+            shapes.append(arr.shape)
+            return _pivot_columns(arr, p)
+
+        spec = EavesdropperSpec.of([(1, 1), (2, 3)], [(2, 2)])
+        obs = observe(demo_system, demo_layout, spec, {(2, 2): (1, 3, 4, 5)})
+        assert (leakage_by_elimination(obs), obs.matrix.rank()) == (4, 10)
+        monkeypatch.setattr(eavesdrop, "_pivot_columns", counting)
+        assert (leakage(obs), independent_symbol_count(obs)) == (4, 10)
+        assert independent_symbol_count(obs) == 10
+        # one pass over the protected-type and one over the other-type columns
+        k = obs.k
+        assert len(shapes) == 2 and all(r < k and c == k for r, c in shapes)
 
 
 class TestIndependentSymbolCount:

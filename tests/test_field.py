@@ -109,26 +109,6 @@ class TestRank:
                 m = random_matrix(rng, rng.integers(1, 6), rng.integers(1, 6), p)
                 assert m.rank() == m.T.rank()
 
-    def test_fast_kernel_agrees_with_reference_elimination(self):
-        # the compiled cross-multiplication kernel and the numpy inverse-
-        # normalizing elimination must pick identical pivot columns
-        from twinstore._fastrank import fast_pivot_columns
-        from twinstore.field import _row_reduce
-        rng = np.random.default_rng(7)
-        checked = 0
-        for p in PRIMES + [2**31 - 1]:
-            for _ in range(60):
-                rows = int(rng.integers(1, 9))
-                cols = int(rng.integers(1, 9))
-                arr = rng.integers(0, p, size=(rows, cols))
-                fast = fast_pivot_columns(arr, p)
-                if fast is None:
-                    pytest.skip("numba unavailable; fallback already covered")
-                _, ref = _row_reduce(arr, p, reduced=False)
-                assert fast == ref
-                checked += 1
-        assert checked == 300
-
     def test_pivot_prefix_counts_submatrix_rank(self):
         # pivots among the first j columns = rank of the first-j-column block
         rng = np.random.default_rng(4)
