@@ -24,6 +24,10 @@ left of / right of the random block.  For tiny instances both are
 cross-checked against brute-force mutual information computed by
 enumerating every source vector.
 
+`revealed_symbols`, the source coordinates the eavesdropper learns
+outright, comes from one reduced row echelon form of M and holds for any
+M: coordinate i is revealed iff some RREF row is the unit vector e_i.
+
 Observation rows are assembled symbolically from generator columns, so
 the result is a property of the scheme rather than of one random draw.
 """
@@ -42,9 +46,9 @@ from .errors import (
     InstanceTooLarge,
     MissingRepairPlan,
 )
-from .field import FieldMatrix, _pivot_columns, in_row_space
+from .field import FieldMatrix, _pivot_columns
 from .framework import TwinSystem, default_helpers, opposite_type
-from .secure import SecureLayout
+from .secure import SecureLayout, source_label
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class Observation:
     helpers_span: bool = False  # every observed repair's helpers span F^k
 
     def label(self, coord: int) -> str:
-        return f"r{coord + 1}" if coord in set(self.random_cols) else f"a{coord + 1}"
+        return source_label(coord, self.random_cols)
 
     @cached_property
     def _column_ranks(self):
@@ -294,16 +298,15 @@ def revealed_symbols(obs: Observation) -> set:
     """Labels of source coordinates fully determined by the observation.
 
     Coordinate i is revealed iff the unit functional e_i lies in the row
-    space of M.
+    space of M.  A row-space vector is fixed by its entries at the RREF
+    pivot columns, so that holds iff some row of the RREF of M has exactly
+    one nonzero entry, in column i.  One elimination decides every
+    coordinate, with no precondition on M; an observation with no rows
+    reveals nothing.
     """
-    n = obs.k * obs.k
-    out = set()
-    for coord in range(n):
-        unit = np.zeros(n, dtype=np.int64)
-        unit[coord] = 1
-        if in_row_space(obs.matrix, unit):
-            out.add(obs.label(coord))
-    return out
+    rref = obs.matrix.rref().array
+    unit_rows = rref[np.count_nonzero(rref, axis=1) == 1]
+    return {obs.label(int(c)) for c in np.nonzero(unit_rows)[1]}
 
 
 def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:

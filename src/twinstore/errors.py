@@ -45,6 +45,11 @@ class SingularSubmatrix(TwinstoreError):
     """Erasure decoding hit a singular submatrix (corrupted code object)."""
 
 
+class UnverifiedCode(TwinstoreError):
+    """A generator's MDS property cannot be confirmed: it contradicts its
+    own style and points, or is too wide for the exhaustive minor check."""
+
+
 # ---------------------------------------------------------------- twin framework
 
 class PayloadTooLarge(TwinstoreError):
@@ -111,7 +116,3 @@ class BadRange(TwinstoreError):
 
 class MalformedScenario(TwinstoreError):
     """Scenario failed pre-validation (bad indices, types, or sequencing)."""
-
-
-class RepairStarvation(TwinstoreError):
-    """Fewer than k live opposite-type nodes remain to serve a repair."""

@@ -29,9 +29,13 @@ from .errors import (
     NotEnoughLiveNodes,
     PayloadTooLarge,
     SameTypeHelper,
+    UnverifiedCode,
 )
 from .field import FieldMatrix, PrimeField
 from .mds import MdsCode
+
+
+_MAKERS = {"vandermonde": mds.make_vandermonde, "systematic": mds.make_systematic}
 
 
 def opposite_type(node_type: int) -> int:
@@ -93,8 +97,7 @@ class TwinConfig:
     @classmethod
     def build(cls, field: PrimeField, n1: int, n2: int, k: int,
               style: str = "vandermonde") -> "TwinConfig":
-        maker = {"vandermonde": mds.make_vandermonde,
-                 "systematic": mds.make_systematic}.get(style)
+        maker = _MAKERS.get(style)
         if maker is None:
             raise ValueError(f"unknown style {style!r}")
         return cls(field=field, n1=n1, n2=n2, k=k,
@@ -308,26 +311,32 @@ def _code_doc(code: MdsCode) -> dict:
             "generator": code.generator.tolist()}
 
 
-def config_to_json(config: TwinConfig) -> dict:
-    return {"q": config.field.p, "n1": config.n1, "n2": config.n2, "k": config.k,
-            "codes": [_code_doc(config.code1), _code_doc(config.code2)]}
-
-
 def config_from_json(doc: dict) -> TwinConfig:
+    """Rebuild a snapshot's config, verifying each stored code.
+
+    A vandermonde or systematic generator is rebuilt from its stored
+    points (exact, O(nk), no size cap) and must equal the stored one; an
+    explicit one goes through mds.load_explicit and its minor check.
+    """
     field = PrimeField(int(doc["q"]))
-    codes = []
-    for code_doc in doc["codes"]:
-        gen = FieldMatrix(code_doc["generator"], field)
-        if gen.cols <= mds.MINOR_CHECK_MAX_N and mds.find_singular_minor(gen):
-            raise mds.NotMds("stored generator fails the MDS minor check")
-        points = code_doc.get("points")
-        codes.append(MdsCode(
-            n=gen.cols, k=gen.rows, field=field, generator=gen,
-            style=code_doc["style"],
-            eval_points=None if points is None else tuple(points)))
-    config = TwinConfig(field=field, n1=int(doc["n1"]), n2=int(doc["n2"]),
-                        k=int(doc["k"]), code1=codes[0], code2=codes[1])
-    return config
+    codes = [_code_from_doc(code_doc, field) for code_doc in doc["codes"]]
+    return TwinConfig(field=field, n1=int(doc["n1"]), n2=int(doc["n2"]),
+                      k=int(doc["k"]), code1=codes[0], code2=codes[1])
+
+
+def _code_from_doc(code_doc: dict, field: PrimeField) -> MdsCode:
+    gen = FieldMatrix(code_doc["generator"], field)
+    style = code_doc["style"]
+    if style == "explicit":
+        return mds.load_explicit(gen)
+    maker = _MAKERS.get(style)
+    if maker is None:
+        raise UnverifiedCode(f"unknown code style {style!r}")
+    code = maker(gen.cols, gen.rows, field, code_doc.get("points"))
+    if code.generator != gen:
+        raise UnverifiedCode(
+            f"stored {style} generator differs from the one its points define")
+    return code
 
 
 # ----------------------------------------------------------------------

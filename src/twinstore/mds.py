@@ -12,7 +12,6 @@ Node/codeword positions are 1-based on this module's surface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -26,6 +25,7 @@ from .errors import (
     SingularMatrix,
     SingularSubmatrix,
     TooFewPoints,
+    UnverifiedCode,
 )
 from .field import FieldMatrix, PrimeField
 
@@ -185,7 +185,7 @@ def load_explicit(generator: FieldMatrix) -> MdsCode:
     if not 1 <= k <= n:
         raise DimensionMismatch(f"generator must be k x n with k <= n, got {k}x{n}")
     if n > MINOR_CHECK_MAX_N:
-        raise ValueError(
+        raise UnverifiedCode(
             f"explicit generators are limited to n <= {MINOR_CHECK_MAX_N} "
             f"(exhaustive minor check), got n={n}"
         )
@@ -255,8 +255,3 @@ def code_from_json(doc: dict) -> MdsCode:
             f"generator shape {gen.rows}x{gen.cols}"
         )
     return code
-
-
-def load_code_file(path) -> MdsCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return code_from_json(json.load(fh))

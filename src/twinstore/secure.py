@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class SecureLayout:
     def budget(self) -> int:
         return self.l1 + self.l2
 
-    @property
+    @cached_property
     def random_cols(self) -> tuple:
         """Source coordinates (column-major over the matrix) holding randomness."""
         k, l = self.k, self.budget
@@ -71,7 +72,7 @@ class SecureLayout:
             return tuple(range(k * l))          # leading columns
         return tuple(j for j in range(k * k) if j % k < l)  # leading rows
 
-    @property
+    @cached_property
     def payload_cols(self) -> tuple:
         random = set(self.random_cols)
         return tuple(j for j in range(self.k * self.k) if j not in random)
@@ -84,7 +85,7 @@ class SecureLayout:
         """Label for source coordinate `coord` (0-based): r/a plus 1-based index."""
         if not 0 <= coord < self.k * self.k:
             raise ValueError(f"coordinate {coord} outside [0, {self.k * self.k})")
-        return f"r{coord + 1}" if coord in set(self.random_cols) else f"a{coord + 1}"
+        return source_label(coord, self.random_cols)
 
     def to_json_dict(self) -> dict:
         return {"q": self.field.p, "k": self.k, "l1": self.l1, "l2": self.l2,
@@ -98,6 +99,12 @@ class SecureLayout:
             k=int(doc["k"]), field=PrimeField(int(doc["q"])),
             seed=int(doc["seed"]),
             protected_type=int(doc.get("protected_type", 1)))
+
+
+def source_label(coord: int, random_cols) -> str:
+    """r (random) or a (payload) plus the 1-based index of source coordinate
+    `coord` (0-based), given the random coordinates."""
+    return f"r{coord + 1}" if coord in random_cols else f"a{coord + 1}"
 
 
 def make_secure_layout(payload, l1: int, l2: int, k: int, field: PrimeField,

@@ -8,7 +8,8 @@ from twinstore.cli import main
 from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
-from twinstore.mds import code_to_json, load_explicit
+from twinstore.mds import code_to_json, load_explicit, make_systematic, \
+    make_vandermonde
 
 from test_sim import demo_scenario_doc
 
@@ -183,6 +184,15 @@ class TestEavesdrop:
         assert report["leakage"] == 2
         assert report["guaranteed"] is False
 
+    def test_too_wide_explicit_generator_exits_1(self, tmp_path, capsys):
+        f101 = PrimeField(101)
+        doc = {"e1": [[1, 1]], "e2": [],
+               "generator1": code_to_json(make_vandermonde(21, 2, f101)),
+               "generator2": code_to_json(make_vandermonde(5, 2, f101))}
+        inp = write_json(tmp_path / "spec.json", doc)
+        assert main(["eavesdrop", "--style", "explicit", "--in", inp]) == 1
+        assert "UnverifiedCode" in capsys.readouterr().err
+
     def test_sweep_report(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["eavesdrop", "--q", "11", "--n1", "7", "--n2", "8",
@@ -223,3 +233,61 @@ class TestEavesdrop:
                            result.exhaustive], sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "744a3cf72ba6cfbb053fbc43dce44320b93c3af9de7304ecb3c6064508e331de")
+
+
+def explicit_q101_docs():
+    """Generator documents at q=101, k=4, n1=n2=7: generator 1 is
+    systematic, so reading one of its first four Type 1 nodes reveals a
+    whole message-matrix column."""
+    f101 = PrimeField(101)
+    return {"generator1": code_to_json(make_systematic(7, 4, f101)),
+            "generator2": code_to_json(make_vandermonde(7, 4, f101,
+                                                        range(3, 10)))}
+
+
+class TestRevealedBytesPinned:
+    """sha256 of outputs that carry a non-empty `revealed` list; a faster
+    revealed-set computation must leave every byte unchanged."""
+
+    def test_scenario_log(self, tmp_path):
+        events = [
+            {"op": "fail", "type": 2, "index": 3},
+            {"op": "repair", "type": 2, "index": 3,
+             "helpers": [[1, 2], [1, 4], [1, 5], [1, 7]]},
+            {"op": "fail", "type": 1, "index": 6},
+            {"op": "repair", "type": 1, "index": 6, "helpers": [1, 2, 3, 6]},
+            {"op": "eavesdrop", "e1": [[1, 1]], "e2": [[2, 3]]},
+            {"op": "eavesdrop", "e1": [[1, 2], [2, 1]], "e2": []},
+            {"op": "eavesdrop", "e1": [[2, 2]], "e2": [[1, 6]]},
+            {"op": "reconstruct", "type": 1, "nodes": [1, 3, 5, 6]},
+            {"op": "eavesdrop", "e1": [], "e2": [[1, 6], [2, 3]]},
+        ]
+        docs = explicit_q101_docs()
+        logs = []
+        for protected in (1, 2):
+            doc = {"config": {"q": 101, "n1": 7, "n2": 7, "k": 4,
+                              "style": "explicit", **docs},
+                   "layout": {"l1": 1, "l2": 1, "seed": 5,
+                              "payload": list(range(10, 18)),
+                              "protected_type": protected},
+                   "seed": 0, "events": events}
+            out = tmp_path / f"log{protected}.jsonl"
+            assert main(["scenario", "--in", write_json(tmp_path / "s.json", doc),
+                         "--out", str(out)]) == 0
+            logs.append(out.read_bytes())
+        assert [hashlib.sha256(b).hexdigest() for b in logs] == [
+            "aa878eb2ba9f85d17a91c34f95c7ce4da413e01e2481b4511b2dccd457cb7c10",
+            "cc758627865c74db211ac0c06165c777fb78e3f8fe80b093b8fa2f18b64f5b2f",
+        ]
+
+    def test_single_spec_report(self, tmp_path):
+        spec = {"e1": [[1, 4], [2, 5]], "e2": [[1, 6]], **explicit_q101_docs()}
+        out = tmp_path / "report.json"
+        assert main(["eavesdrop", "--style", "explicit", "--l1", "2",
+                     "--l2", "1", "--seed", "9",
+                     "--in", write_json(tmp_path / "spec.json", spec),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["revealed"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b6440db7b647f3878ab4e660a68f4604ce6a614639b441074057daaba6511080")

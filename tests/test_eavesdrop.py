@@ -17,6 +17,7 @@ from twinstore import (
     default_repair_plans,
     eavesdrop_report,
     encode_system,
+    in_row_space,
     independent_symbol_count,
     leakage,
     leakage_by_elimination,
@@ -173,6 +174,14 @@ def _random_spec(rng, config, size):
     return spec, plans
 
 
+def revealed_by_row_space(obs):
+    """Reference revealed set: test e_i against the row space of M, one
+    coordinate at a time."""
+    n = obs.k * obs.k
+    units = np.eye(n, dtype=np.int64)
+    return {obs.label(i) for i in range(n) if in_row_space(obs.matrix, units[i])}
+
+
 class TestClosedFormLeakage:
     """The closed forms (k-v)(u-u') + v(k-l) for leakage and k(u+v) - uv
     for rank(M) against elimination of the observation matrix."""
@@ -205,6 +214,9 @@ class TestClosedFormLeakage:
                             assert (independent_symbol_count(obs)
                                     == obs.matrix.rank()), (
                                 k, l1, l2, prot, spec, plans)
+                            assert (revealed_symbols(obs)
+                                    == revealed_by_row_space(obs)), (
+                                k, l1, l2, prot, spec, plans)
                             checked += 1
         assert checked == 8 * 2 * sum(k * (k + 1) // 2 for k in range(2, 7))
 
@@ -225,6 +237,8 @@ class TestClosedFormLeakage:
         assert not obs.helpers_span
         assert leakage(obs) == leakage_by_elimination(obs) == 1
         assert independent_symbol_count(obs) == obs.matrix.rank() == 2
+        # the revealed set needs no guard: one RREF is exact for any M
+        assert revealed_symbols(obs) == revealed_by_row_space(obs) == {"r1"}
         # the unguarded closed forms would report 2 and 3
         unguarded = dataclasses.replace(obs, helpers_span=True)
         assert leakage(unguarded) == 2
@@ -239,6 +253,8 @@ class TestClosedFormLeakage:
         assert leakage(bare) == leakage(cross_type_obs) == 2
         assert (independent_symbol_count(bare)
                 == independent_symbol_count(cross_type_obs) == 7)
+        assert (revealed_symbols(bare) == revealed_by_row_space(bare)
+                == revealed_symbols(cross_type_obs))
 
     def test_rank_and_leakage_share_one_column_rank_pass(
             self, monkeypatch, demo_system, demo_layout):
@@ -300,6 +316,29 @@ class TestIndependentSymbolCount:
 
 
 class TestRevealedSymbols:
+    def test_zero_row_observation_reveals_nothing(self, cross_type_obs):
+        empty = Observation(matrix=FieldMatrix.zeros(0, 16, PrimeField(11)),
+                            values=np.zeros(0, dtype=np.int64),
+                            random_cols=cross_type_obs.random_cols,
+                            payload_cols=cross_type_obs.payload_cols, k=4)
+        assert revealed_symbols(empty) == revealed_by_row_space(empty) == set()
+
+    def test_protected_type_2_labels_follow_transposed_band(self, demo_config):
+        # random rows 1-2 of the message matrix: coordinates j with j % 4 < 2
+        f11 = PrimeField(11)
+        layout = make_secure_layout(list(range(8)), 2, 0, 4, f11, seed=7,
+                                    protected_type=2)
+        system = encode_system(demo_config, layout.matrix)
+        spec = EavesdropperSpec.of([(2, 1)], [(2, 2)])
+        obs = observe(system, layout, spec, {(2, 2): (1, 3, 4, 5)})
+        rows_1_2 = {"r1", "r5", "r9", "r13", "r2", "r6", "r10", "r14"}
+        assert revealed_symbols(obs) == revealed_by_row_space(obs) == rows_1_2
+        # Type 1 node 1 stores message column 1: two random, two payload
+        col = observe(system, layout, EavesdropperSpec.of([(1, 1)], []), {})
+        assert revealed_symbols(col) == revealed_by_row_space(col) == {
+            "r1", "r2", "a3", "a4"}
+        assert [layout.label(i) for i in range(4)] == ["r1", "r2", "a3", "a4"]
+
     def test_cross_type_set(self, cross_type_obs):
         assert revealed_symbols(cross_type_obs) == {
             "r1", "r2", "r3", "r4", "r6", "a10", "a14"}

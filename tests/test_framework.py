@@ -27,6 +27,7 @@ from twinstore.errors import (
     NotEnoughLiveNodes,
     PayloadTooLarge,
     SameTypeHelper,
+    UnverifiedCode,
 )
 
 from conftest import build_config
@@ -303,3 +304,41 @@ class TestSnapshotJson:
         assert again == broken
         assert not again.is_live(2, 3)
         assert again.node(2, 3).is_empty
+
+    @pytest.fixture(scope="class")
+    def wide_doc(self):
+        """n = 24 > MINOR_CHECK_MAX_N: beyond the exhaustive minor check."""
+        f101 = PrimeField(101)
+        config = build_config(f101, 24, 24, 3)
+        msg = build_message_matrix(list(range(9)), 3, f101)
+        return json.loads(json.dumps(encode_system(config, msg).to_json_dict()))
+
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
+    def test_wide_snapshot_rebuilt_from_points(self, style):
+        f101 = PrimeField(101)
+        system = encode_system(build_config(f101, 24, 22, 3, style=style),
+                               build_message_matrix(list(range(9)), 3, f101))
+        doc = json.loads(json.dumps(system.to_json_dict()))
+        assert TwinSystem.from_json_dict(doc) == system
+
+    def test_duplicated_column_refused_above_minor_check_cap(self, wide_doc):
+        doc = json.loads(json.dumps(wide_doc))
+        for row in doc["config"]["codes"][0]["generator"]:
+            row[5] = row[4]  # column 6 = column 5: not MDS
+        with pytest.raises(UnverifiedCode):
+            TwinSystem.from_json_dict(doc)
+
+    def test_points_contradicting_generator_refused(self, wide_doc):
+        doc = json.loads(json.dumps(wide_doc))
+        code = doc["config"]["codes"][1]
+        code["points"] = [x + 1 for x in code["points"]]
+        with pytest.raises(UnverifiedCode):
+            TwinSystem.from_json_dict(doc)
+
+    @pytest.mark.parametrize("style", ["explicit", "reed-solomon"])
+    def test_unverifiable_generator_refused(self, wide_doc, style):
+        # explicit: too wide for the minor check; any other style: unknown
+        doc = json.loads(json.dumps(wide_doc))
+        doc["config"]["codes"][0].update(style=style, points=None)
+        with pytest.raises(UnverifiedCode):
+            TwinSystem.from_json_dict(doc)

@@ -22,6 +22,7 @@ from twinstore.errors import (
     DuplicatePoints,
     NotMds,
     TooFewPoints,
+    UnverifiedCode,
 )
 from twinstore.field import vstack
 
@@ -118,7 +119,7 @@ class TestLoadExplicit:
 
     def test_refuses_unverifiable_width(self, f11):
         wide = np.ones((1, 21), dtype=int)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnverifiedCode):
             load_explicit(FieldMatrix(wide, f11))
 
 
