@@ -10,8 +10,11 @@ statement: with uniform independent randomness and payload,
 
 `leakage` and `independent_symbol_count` evaluate rank(M) and that rank
 gap in closed form from the ranks of the observed nodes' generator
-columns (two eliminations of at most k-1 rows of length k, done once per
-Observation and shared by both).  Type 1 nodes with column rank u1
+columns.  Those ranks, the helper-span check below and
+`secure.guaranteed_secure_set` all read one memo per code,
+`MdsCode.pivots`, keyed by the observed position set, so a sweep
+eliminates once per distinct set of generator columns, not once per
+spec.  Type 1 nodes with column rank u1
 expose F^k (x) U1, Type 2 nodes with column rank u2 expose U2 (x) F^k,
 and the two meet in U2 (x) U1, so
 
@@ -30,13 +33,18 @@ M: coordinate i is revealed iff some RREF row is the unit vector e_i.
 
 Observation rows are assembled symbolically from generator columns, so
 the result is a property of the scheme rather than of one random draw.
+`observe` validates the spec and records the observed nodes at once, but
+assembles M and its values only when something reads `obs.matrix` or
+`obs.values`: `revealed_symbols`, the elimination fallbacks and
+`brute_force_mi`.  Rank and leakage never do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -80,50 +88,62 @@ class EavesdropperSpec:
                 "e2": [list(x) for x in self.e2]}
 
 
+class _Assembled:
+    """An Observation field that, when not given, is assembled on first read.
+
+    observe() leaves `matrix` and `values` out and records how to build
+    them; rank and leakage never read them, so a sweep never builds them.
+    A hand-built Observation passes both.
+    """
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obs, owner=None):
+        if obs is None:
+            return None  # the dataclass default: assemble on demand
+        if obs.__dict__[self.key] is None:
+            matrix, values = obs.assemble()
+            obs.__dict__.update(_matrix=matrix, _values=values)
+        return obs.__dict__[self.key]
+
+    def __set__(self, obs, value):
+        obs.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class Observation:
     """Eavesdropper view: functionals over the source vector plus values.
 
     observe() also records the structure the closed forms for rank and
     leakage need: the type and generator column of every observed node
-    (storage reads, then repaired nodes) and whether every observed
-    repair's helpers span F^k.  An Observation built without that
-    structure is measured by elimination.
+    (storage reads, then repaired nodes), the column ranks (u, u', v) and
+    whether every observed repair's helpers span F^k.  The matrix and its
+    values are assembled only when read.  An Observation built without
+    that structure is measured by elimination.
     """
 
-    matrix: FieldMatrix       # one row per observed symbol, k*k columns
-    values: np.ndarray        # matrix @ source vector
     random_cols: tuple        # source coordinates holding random symbols
     payload_cols: tuple
     k: int
+    matrix: FieldMatrix = _Assembled()  # one row per observed symbol, k*k columns
+    values: np.ndarray = _Assembled()   # matrix @ source vector
     protected_type: int = 1   # node type the layout's random band shields
     node_types: tuple = ()    # 1 or 2 per observed node
     node_vectors: np.ndarray | None = None  # one generator column per row
     helpers_span: bool = False  # every observed repair's helpers span F^k
+    # (u, u', v): rank of the observed protected-type columns, rank of
+    # their first l rows, rank of the other-type columns
+    column_ranks: tuple | None = None
+    assemble: Callable | None = field(default=None, repr=False, compare=False)
 
     def label(self, coord: int) -> str:
         return source_label(coord, self.random_cols)
 
-    @cached_property
-    def _column_ranks(self):
-        """(u, u', v) of the closed forms, or None where they do not apply.
-
-        u = rank of the observed protected-type columns, u' = pivots of that
-        same elimination among the first l coordinates (the rank of those
-        columns' first l rows), v = rank of the other-type columns.
-        """
-        if self.node_vectors is None or not self.helpers_span:
-            return None
-        l = len(self.random_cols) // self.k
-        p = self.matrix.field.p
-        own = np.array([t == self.protected_type for t in self.node_types],
-                       dtype=bool)
-        own_cols, other_cols = self.node_vectors[own], self.node_vectors[~own]
-        # an empty group has rank 0: no elimination
-        pivots = _pivot_columns(own_cols, p) if len(own_cols) else ()
-        u_low = sum(1 for c in pivots if c < l)
-        v = len(_pivot_columns(other_cols, p)) if len(other_cols) else 0
-        return len(pivots), u_low, v
+    @property
+    def _closed_form_ranks(self):
+        """(u, u', v) where the closed forms apply, else None."""
+        return self.column_ranks if self.helpers_span else None
 
 
 def _storage_rows(k: int, node_type: int, g: np.ndarray, p: int) -> np.ndarray:
@@ -159,31 +179,34 @@ def _repair_rows(k: int, failed_type: int, g_failed: np.ndarray,
 
 def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
             repair_plans=None) -> Observation:
-    """Assemble the eavesdropper's observation matrix and observed values.
+    """The eavesdropper's observation: its node structure now, its matrix
+    and observed values when first read.
 
     repair_plans maps each e2 node (type, index) to the k helper indices
     used for its observed repair; the functionals do not depend on when
-    the repair happened, only on which helpers served it.
+    the repair happened, only on which helpers served it.  Every node and
+    plan is validated here, before anything is assembled.  The column
+    ranks (u, u', v) and the helper-span check come from each code's
+    memoized `MdsCode.pivots`, so a sweep eliminates once per distinct
+    position set rather than once per spec.
     """
     config = system.config
     k = config.k
-    p = config.field.p
     if layout.k != k or layout.field != config.field:
         raise DimensionMismatch("layout does not match the system configuration")
     if spec.budget >= k:
         raise BudgetExceeded(f"need |e1| + |e2| < k = {k}, got {spec.budget}")
     repair_plans = dict(repair_plans or {})
 
-    blocks = []
-    node_types = []
-    vectors = []
+    nodes = []  # (type, generator column, helper positions or None)
+    positions = {1: [], 2: []}
     helpers_span = True
     for node_type, j in spec.e1:
-        g = config.code_for(node_type).encoding_vector(j)
-        blocks.append(_storage_rows(k, node_type, g, p))
         # code_for and _storage_rows treat every type other than 1 as Type 2
-        node_types.append(1 if node_type == 1 else 2)
-        vectors.append(g)
+        node_type = 1 if node_type == 1 else 2
+        nodes.append((node_type, config.code_for(node_type).encoding_vector(j),
+                      None))
+        positions[node_type].append(j)
     for node_type, j in spec.e2:
         plan = repair_plans.get((node_type, j))
         if plan is None:
@@ -199,26 +222,44 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
                 f"repair plan for type {node_type} node {j} must name k={k} "
                 f"distinct type {helper_type} helpers, got {plan}"
             )
-        g_failed = config.code_for(node_type).encoding_vector(j)
-        helper_vectors = helper_code.generator.array[:, [h - 1 for h in helpers]].T
-        blocks.append(_repair_rows(k, node_type, g_failed, helper_vectors, p))
-        node_types.append(node_type)
-        vectors.append(g_failed)
+        nodes.append((node_type, config.code_for(node_type).encoding_vector(j),
+                      helpers))
+        positions[node_type].append(j)
         helpers_span = helpers_span and helper_code.spans(helpers)
 
+    own, other = layout.protected_type, opposite_type(layout.protected_type)
+    pivots = config.code_for(own).pivots(positions[own])
+    column_ranks = (len(pivots), sum(1 for c in pivots if c < layout.budget),
+                    len(config.code_for(other).pivots(positions[other])))
+    return Observation(random_cols=layout.random_cols,
+                       payload_cols=layout.payload_cols, k=k,
+                       protected_type=own,
+                       node_types=tuple(t for t, _, _ in nodes),
+                       node_vectors=np.array([g for _, g, _ in nodes],
+                                             dtype=np.int64).reshape(-1, k),
+                       helpers_span=helpers_span, column_ranks=column_ranks,
+                       assemble=partial(_assemble, config, nodes, layout))
+
+
+def _assemble(config, nodes, layout):
+    """Observation matrix and observed values of the nodes observe() recorded."""
+    k, field = config.k, config.field
+    p = field.p
+
+    def helper_vectors(node_type, helpers):
+        generator = config.code_for(opposite_type(node_type)).generator
+        return generator.array[:, [h - 1 for h in helpers]].T
+
+    blocks = [_storage_rows(k, t, g, p) if helpers is None
+              else _repair_rows(k, t, g, helper_vectors(t, helpers), p)
+              for t, g, helpers in nodes]
     if blocks:
         m = np.vstack(blocks)
     else:
         m = np.zeros((0, k * k), dtype=np.int64)
-    matrix = FieldMatrix(m, config.field)
+    matrix = FieldMatrix(m, field)
     values = matrix @ layout.source_vector() if m.shape[0] else np.zeros(0, np.int64)
-    return Observation(matrix=matrix, values=values,
-                       random_cols=layout.random_cols,
-                       payload_cols=layout.payload_cols, k=k,
-                       protected_type=layout.protected_type,
-                       node_types=tuple(node_types),
-                       node_vectors=np.array(vectors, dtype=np.int64).reshape(-1, k),
-                       helpers_span=helpers_span)
+    return matrix, values
 
 
 def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
@@ -239,7 +280,7 @@ def independent_symbol_count(obs: Observation) -> int:
     repair's helpers do not span F^k, or the Observation lacks the
     recorded node structure, this returns obs.matrix.rank().
     """
-    ranks = obs._column_ranks
+    ranks = obs._closed_form_ranks
     if ranks is None:
         return obs.matrix.rank()
     u, _, v = ranks
@@ -260,17 +301,17 @@ def leakage(obs: Observation) -> int:
 
         leakage = (k - v)(u - u') + v(k - l).
 
-    One elimination of the stacked type-P columns yields u, and its pivots
-    among the first l coordinates count u'; a second yields v when
-    other-type nodes are observed.  Both are computed once per Observation
-    and shared with `independent_symbol_count`.
+    The pivots of the stacked type-P columns yield u, and those among
+    the first l coordinates count u'; the other-type columns' pivots
+    yield v.  observe() reads all three from the codes' memoized
+    `MdsCode.pivots`, and `independent_symbol_count` shares them.
 
     Precondition: every observed repair's helper columns span F^k (the MDS
     property).  observe() checks that for each helper set; where it fails,
     or for an Observation that lacks the recorded node structure, this
     returns leakage_by_elimination(obs), so the two never disagree.
     """
-    ranks = obs._column_ranks
+    ranks = obs._closed_form_ranks
     if ranks is None:
         return leakage_by_elimination(obs)
     u, u_low, v = ranks

@@ -27,7 +27,7 @@ from .errors import (
     TooFewPoints,
     UnverifiedCode,
 )
-from .field import FieldMatrix, PrimeField
+from .field import FieldMatrix, PrimeField, _pivot_columns
 
 # Cap for exhaustive k x k minor verification: C(20, 10) ~ 184k minors.
 MINOR_CHECK_MAX_N = 20
@@ -50,23 +50,36 @@ class MdsCode:
             raise DimensionMismatch(f"position {j} outside [1, {self.n}]")
         return self.generator.column(j - 1)
 
+    def pivots(self, positions) -> tuple:
+        """Pivot columns of the generator columns at the 1-based positions,
+        stacked as rows and brought to row echelon form.
+
+        Their count is the rank of those columns, and the pivots below l
+        count the rank of the columns' first l rows.  Both depend only on
+        the row space, so the lookup is keyed by the sorted set of
+        positions and memoized on this immutable code: a caller pays one
+        elimination per distinct position set.
+        """
+        key = tuple(sorted({int(j) for j in positions}))
+        memo = self._pivot_memo
+        if key not in memo:
+            if key and not (1 <= key[0] and key[-1] <= self.n):
+                raise DimensionMismatch(f"positions {key} outside [1, {self.n}]")
+            cols = self.generator.array[:, [j - 1 for j in key]]
+            memo[key] = _pivot_columns(cols.T, self.field.p)
+        return memo[key]
+
     def spans(self, positions) -> bool:
         """True iff the generator columns at the 1-based positions span F^k.
 
         Any k positions of an MDS code do, but hand-built codes and
         snapshots loaded without the minor check need not be MDS, so the
-        rank is checked -- once per position tuple, memoized on this
-        immutable code.  Positions must lie in [1, n].
+        rank is read from the shared `pivots` memo.
         """
-        key = tuple(int(j) for j in positions)
-        memo = self._spanning_sets
-        if key not in memo:
-            cols = self.generator.take_columns([j - 1 for j in key])
-            memo[key] = cols.rank() == self.k
-        return memo[key]
+        return len(self.pivots(positions)) == self.k
 
     @cached_property
-    def _spanning_sets(self) -> dict:
+    def _pivot_memo(self) -> dict:
         return {}
 
     def __eq__(self, other):
@@ -189,10 +202,12 @@ def load_explicit(generator: FieldMatrix) -> MdsCode:
             f"explicit generators are limited to n <= {MINOR_CHECK_MAX_N} "
             f"(exhaustive minor check), got n={n}"
         )
-    if generator.rank() != k:
-        raise NotMds(f"generator has rank {generator.rank()} < k={k}")
     bad = find_singular_minor(generator)
     if bad is not None:
+        # a rank-deficient generator has only singular minors; say so
+        rank = generator.rank()
+        if rank != k:
+            raise NotMds(f"generator has rank {rank} < k={k}")
         raise NotMds(f"singular k x k minor at columns {bad}")
     return MdsCode(n=n, k=k, field=generator.field, generator=generator,
                    style="explicit", eval_points=None)

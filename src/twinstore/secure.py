@@ -171,7 +171,9 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     of the repaired node's content, so both sets reduce to generator columns.
     Sufficient, not necessary: every node must belong to the layout's
     protected type and the first-l-rows generator submatrix must have full
-    column rank.  Returns NotGuaranteed (never raises) outside that region.
+    column rank, read from the code's memoized `MdsCode.pivots` (the
+    closed forms' u' = |columns|).  Returns NotGuaranteed (never raises)
+    outside that region.
     """
     nodes = [(int(t), int(j)) for t, j in e1_nodes] + \
             [(int(t), int(j)) for t, j in e2_nodes]
@@ -188,9 +190,9 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     code = config.code_for(layout.protected_type)
     if any(not 1 <= j <= code.n for _, j in nodes):
         return not_guaranteed
-    columns = [j - 1 for _, j in nodes]
-    sub = FieldMatrix(code.generator.array[: layout.budget, columns], config.field)
-    if sub.rank() != len(columns):
+    # rank of the first l rows of the columns = their pivots below l
+    pivots = code.pivots(j for _, j in nodes)
+    if sum(1 for c in pivots if c < layout.budget) != len(nodes):
         return not_guaranteed
     reason = (GuaranteeReason.ALL_SAME_TYPE_WITHIN_BUDGET
               if code.style == "vandermonde"

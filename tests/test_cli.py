@@ -3,13 +3,14 @@ import json
 
 import pytest
 
-from twinstore import make_secure_layout, sweep_eavesdroppers
+from twinstore import eavesdrop, field, make_secure_layout, sim, \
+    sweep_eavesdroppers
 from twinstore.cli import main
 from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
-from twinstore.mds import code_to_json, load_explicit, make_systematic, \
-    make_vandermonde
+from twinstore.mds import MdsCode, code_to_json, load_explicit, \
+    make_systematic, make_vandermonde
 
 from test_sim import demo_scenario_doc
 
@@ -17,6 +18,20 @@ from test_sim import demo_scenario_doc
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+PINNED_SWEEP_DIGESTS = [
+    ("vandermonde",
+     "62472054bb734a270087dd460a9ccde7f471fbc811e036ad8e1460ecb2736aa4"),
+    ("systematic",
+     "b801598b088b7b95fc91014a7edc1238a5e366e34d2563575d21a1b6c43e2aad"),
+]
+
+
+def pinned_sweep_argv(style, out):
+    """Exhaustive sweep at q=11, k=4, n1=5, n2=6, l1=l2=1: 243 specs."""
+    return ["eavesdrop", "--q", "11", "--k", "4", "--n1", "5", "--n2", "6",
+            "--l1", "1", "--l2", "1", "--style", style, "--out", str(out)]
 
 
 class TestBounds:
@@ -208,18 +223,56 @@ class TestEavesdrop:
     # sha256 of the report bytes of one small exhaustive sweep (243 specs)
     # per code style, and of one seeded sampled sweep's rows; a faster
     # leakage or rank oracle must leave every byte unchanged
-    @pytest.mark.parametrize("style, digest", [
-        ("vandermonde",
-         "62472054bb734a270087dd460a9ccde7f471fbc811e036ad8e1460ecb2736aa4"),
-        ("systematic",
-         "b801598b088b7b95fc91014a7edc1238a5e366e34d2563575d21a1b6c43e2aad"),
-    ])
+    @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
     def test_sweep_report_bytes_pinned(self, tmp_path, style, digest):
         out = tmp_path / "sweep.json"
-        assert main(["eavesdrop", "--q", "11", "--k", "4", "--n1", "5",
-                     "--n2", "6", "--l1", "1", "--l2", "1", "--style", style,
-                     "--out", str(out)]) == 0
+        assert main(pinned_sweep_argv(style, out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
+    def test_pinned_sweep_eliminates_once_per_position_set(
+            self, tmp_path, monkeypatch, style, digest):
+        # no observation matrix is assembled, and inside the sweep every
+        # elimination is the first lookup of a distinct generator position
+        # set in a code's pivot memo
+        builds, eliminations, position_sets = [], [], set()
+        sweeping = []
+        for name in ("_storage_rows", "_repair_rows"):
+            monkeypatch.setattr(eavesdrop, name,
+                                lambda *args, name=name: builds.append(name))
+        raw_reduce = field._row_reduce
+
+        def counting_reduce(*args, **kwargs):
+            if sweeping:
+                eliminations.append(args[0].shape)
+            return raw_reduce(*args, **kwargs)
+
+        raw_pivots = MdsCode.pivots
+
+        def recording_pivots(code, positions):
+            positions = tuple(positions)
+            if positions:  # the empty set is rank 0 without an elimination
+                position_sets.add((id(code), frozenset(positions)))
+            return raw_pivots(code, positions)
+
+        raw_sweep = sim.sweep_eavesdroppers
+
+        def sweep(*args, **kwargs):
+            sweeping.append(True)
+            try:
+                return raw_sweep(*args, **kwargs)
+            finally:
+                sweeping.pop()
+
+        monkeypatch.setattr(field, "_row_reduce", counting_reduce)
+        monkeypatch.setattr(MdsCode, "pivots", recording_pivots)
+        monkeypatch.setattr(sim, "sweep_eavesdroppers", sweep)
+        out = tmp_path / "sweep.json"
+        assert main(pinned_sweep_argv(style, out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        specs = len(json.loads(out.read_text())["specs"])
+        assert builds == []
+        assert len(eliminations) == len(position_sets) < specs / 4
 
     def test_sampled_sweep_rows_pinned(self):
         f11 = PrimeField(11)

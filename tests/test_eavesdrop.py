@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -17,7 +18,6 @@ from twinstore import (
     default_repair_plans,
     eavesdrop_report,
     encode_system,
-    in_row_space,
     independent_symbol_count,
     leakage,
     leakage_by_elimination,
@@ -32,7 +32,7 @@ from twinstore.errors import (
     InstanceTooLarge,
     MissingRepairPlan,
 )
-from twinstore import eavesdrop
+from twinstore import eavesdrop, mds
 from twinstore.field import _pivot_columns, vstack
 
 from conftest import build_config
@@ -124,6 +124,89 @@ class TestObserve:
         assert obs.helpers_span
 
 
+@pytest.fixture()
+def row_builds(monkeypatch):
+    """Count the row-block builds that assemble an observation matrix."""
+    calls = []
+    for name in ("_storage_rows", "_repair_rows"):
+        raw = getattr(eavesdrop, name)
+
+        def counting(*args, raw=raw, name=name):
+            calls.append(name)
+            return raw(*args)
+        monkeypatch.setattr(eavesdrop, name, counting)
+    return calls
+
+
+# every observation TestObserve builds, plus a Type 1 repair and a mixed
+# storage + repair spec
+OBSERVE_CASES = [
+    ([(1, 1), (2, 2)], [], {}),
+    ([(2, 1)], [(2, 2)], {(2, 2): (1, 3, 4, 5)}),
+    ([(2, 1)], [(1, 3)], {(1, 3): (2, 3, 4, 5)}),
+    ([], [], {}),
+    ([], [(1, 1)], {(1, 1): (1, 2, 3, 4)}),
+    ([(1, 4)], [(2, 5)], {(2, 5): (2, 3, 4, 5)}),
+] + [([(t, j)], [], {}) for t, n in ((1, 5), (2, 6)) for j in range(1, n + 1)]
+
+
+class TestLazyAssembly:
+    def test_matrix_built_only_when_read(self, demo_system, demo_layout,
+                                         row_builds):
+        spec = EavesdropperSpec.of([(1, 1), (2, 3)], [(2, 2)])
+        obs = observe(demo_system, demo_layout, spec, {(2, 2): (1, 3, 4, 5)})
+        assert (leakage(obs), independent_symbol_count(obs)) == (4, 10)
+        assert row_builds == []
+        assert obs.matrix.rows == 12
+        assert row_builds == ["_storage_rows", "_storage_rows", "_repair_rows"]
+        assert obs.values.shape == (12,)
+        assert len(row_builds) == 3  # matrix and values assembled together
+
+    @pytest.mark.parametrize("e1, e2, plans, error", [
+        ([(1, 1), (1, 2), (1, 3), (2, 1)], [], {}, BudgetExceeded),
+        ([(1, 1)], [(2, 2)], {}, MissingRepairPlan),
+        ([(1, 6)], [], {}, DimensionMismatch),
+        ([(1, 1)], [(2, 2)], {(2, 2): (1, 2, 3, 3)}, DimensionMismatch),
+        ([(2, 1)], [(1, 2)], {(1, 2): (1, 2, 3, 7)}, DimensionMismatch),
+    ])
+    def test_errors_raised_before_assembly(self, demo_system, demo_layout,
+                                           row_builds, e1, e2, plans, error):
+        with pytest.raises(error):
+            observe(demo_system, demo_layout, EavesdropperSpec.of(e1, e2), plans)
+        assert row_builds == []
+
+    def test_layout_mismatch_raised_before_assembly(self, demo_system,
+                                                    row_builds):
+        other = make_secure_layout([0] * 9, 0, 0, 3, PrimeField(11))
+        with pytest.raises(DimensionMismatch):
+            observe(demo_system, other, EavesdropperSpec.of([(1, 1)], []), {})
+        assert row_builds == []
+
+    def test_matrix_and_values_unchanged(self, demo_system, demo_layout):
+        # sha256 over every case's matrix and values: assembling on demand
+        # must leave every entry unchanged
+        digest = hashlib.sha256()
+        for e1, e2, plans in OBSERVE_CASES:
+            obs = observe(demo_system, demo_layout,
+                          EavesdropperSpec.of(e1, e2), plans)
+            assert obs.matrix.array.dtype == obs.values.dtype == np.int64
+            for arr in (obs.matrix.array, obs.values):
+                digest.update(repr(arr.shape).encode())
+                digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "07409cf546d65acdb9cbaf41457a0a546f6fc2ee35cc947755fee58a866e3f8d")
+
+    def test_hand_built_observation_keeps_its_matrix(self, cross_type_obs):
+        bare = Observation(matrix=cross_type_obs.matrix,
+                           values=cross_type_obs.values,
+                           random_cols=cross_type_obs.random_cols,
+                           payload_cols=cross_type_obs.payload_cols,
+                           k=cross_type_obs.k)
+        assert bare.matrix is cross_type_obs.matrix
+        assert bare.values is cross_type_obs.values
+        assert bare.column_ranks is None and bare.assemble is None
+
+
 class TestLeakage:
     def test_demo_values(self, demo_system, demo_layout, cross_type_obs):
         assert leakage(cross_type_obs) == 2
@@ -175,11 +258,14 @@ def _random_spec(rng, config, size):
 
 
 def revealed_by_row_space(obs):
-    """Reference revealed set: test e_i against the row space of M, one
-    coordinate at a time."""
+    """Reference revealed set: e_i lies in the row space of M iff appending
+    it as a row leaves rank(M) unchanged, one coordinate at a time."""
     n = obs.k * obs.k
+    rank = obs.matrix.rank()
     units = np.eye(n, dtype=np.int64)
-    return {obs.label(i) for i in range(n) if in_row_space(obs.matrix, units[i])}
+    return {obs.label(i) for i in range(n)
+            if vstack([obs.matrix, FieldMatrix(units[i:i + 1], obs.matrix.field)]
+                      ).rank() == rank}
 
 
 class TestClosedFormLeakage:
@@ -256,23 +342,32 @@ class TestClosedFormLeakage:
         assert (revealed_symbols(bare) == revealed_by_row_space(bare)
                 == revealed_symbols(cross_type_obs))
 
-    def test_rank_and_leakage_share_one_column_rank_pass(
-            self, monkeypatch, demo_system, demo_layout):
+    def test_rank_and_leakage_share_one_column_rank_pass(self, monkeypatch):
+        # a fresh config, so the codes' pivot memos start empty
+        config = build_config(PrimeField(11), 5, 5, 4)
+        layout = make_secure_layout(list(range(8)), 1, 1, 4, PrimeField(11),
+                                    seed=7)
+        system = encode_system(config, layout.matrix)
         shapes = []
 
         def counting(arr, p):
             shapes.append(arr.shape)
             return _pivot_columns(arr, p)
 
-        spec = EavesdropperSpec.of([(1, 1), (2, 3)], [(2, 2)])
-        obs = observe(demo_system, demo_layout, spec, {(2, 2): (1, 3, 4, 5)})
-        assert (leakage_by_elimination(obs), obs.matrix.rank()) == (4, 10)
+        monkeypatch.setattr(mds, "_pivot_columns", counting)
         monkeypatch.setattr(eavesdrop, "_pivot_columns", counting)
+        spec = EavesdropperSpec.of([(1, 1), (2, 3)], [(2, 2)])
+        obs = observe(system, layout, spec, {(2, 2): (1, 3, 4, 5)})
+        # at observe time: the helper set, then one pass over the
+        # protected-type and one over the other-type columns
+        k = obs.k
+        assert shapes == [(k, k), (1, k), (2, k)]
         assert (leakage(obs), independent_symbol_count(obs)) == (4, 10)
         assert independent_symbol_count(obs) == 10
-        # one pass over the protected-type and one over the other-type columns
-        k = obs.k
-        assert len(shapes) == 2 and all(r < k and c == k for r, c in shapes)
+        # the same position sets again: answered from the memo
+        observe(system, layout, spec, {(2, 2): (5, 4, 3, 1)})
+        assert len(shapes) == 3
+        assert (leakage_by_elimination(obs), obs.matrix.rank()) == (4, 10)
 
 
 class TestIndependentSymbolCount:

@@ -6,6 +6,7 @@ import pytest
 
 from twinstore import (
     FieldMatrix,
+    MdsCode,
     PrimeField,
     code_from_json,
     code_to_json,
@@ -24,7 +25,7 @@ from twinstore.errors import (
     TooFewPoints,
     UnverifiedCode,
 )
-from twinstore.field import vstack
+from twinstore.field import _pivot_columns, vstack
 
 
 def brute_force_is_mds(code):
@@ -121,6 +122,73 @@ class TestLoadExplicit:
         wide = np.ones((1, 21), dtype=int)
         with pytest.raises(UnverifiedCode):
             load_explicit(FieldMatrix(wide, f11))
+
+    def test_rank_only_names_the_refusal(self, f11, monkeypatch):
+        # the minor check refuses every rank-deficient generator; the rank
+        # is computed only to choose between the two messages
+        with pytest.raises(NotMds, match=r"^generator has rank 1 < k=2$"):
+            load_explicit(FieldMatrix([[1, 0], [0, 0]], f11))
+        bad = [row[:] for row in DEMO_G2]
+        bad[3][5] = 2
+        with pytest.raises(NotMds, match=(r"^singular k x k minor at "
+                                          r"columns \(2, 3, 5, 6\)$")):
+            load_explicit(FieldMatrix(bad, f11))
+
+        def no_rank(self):
+            raise AssertionError("rank computed for an MDS generator")
+
+        monkeypatch.setattr(FieldMatrix, "rank", no_rank)
+        assert load_explicit(FieldMatrix(DEMO_G2, f11)).n == 6
+
+
+def non_mds_f11_code():
+    """(5, 3) code over F_11 whose column 3 equals column 2."""
+    f11 = PrimeField(11)
+    gen = make_vandermonde(5, 3, f11).generator.array.copy()
+    gen[:, 2] = gen[:, 1]
+    return MdsCode(n=5, k=3, field=f11, generator=FieldMatrix(gen, f11),
+                   style="explicit")
+
+
+class TestPivotMemo:
+    """MdsCode.pivots against a fresh elimination, and spans against rank."""
+
+    @pytest.fixture(params=["vandermonde", "systematic", "non-mds"])
+    def code(self, request):
+        f11 = PrimeField(11)
+        if request.param == "vandermonde":
+            return make_vandermonde(9, 4, f11)
+        if request.param == "systematic":
+            return make_systematic(9, 4, f11)
+        return non_mds_f11_code()
+
+    def test_matches_fresh_elimination_in_any_row_order(self, code):
+        rng = np.random.default_rng(code.n + code.k + len(code.style))
+        for size in range(code.n + 1):
+            for _ in range(6):
+                picks = rng.permutation(code.n)[:size] + 1
+                shuffled = rng.permutation(picks)
+                fresh = _pivot_columns(
+                    code.generator.array[:, shuffled - 1].T, code.field.p)
+                assert code.pivots(picks.tolist()) == fresh, (code, shuffled)
+                # a repeated position adds no row to the row space
+                assert code.pivots([*picks.tolist(), *picks[:1].tolist()]) == fresh
+
+    def test_spans_agrees_with_rank(self, code):
+        for size in range(code.n + 1):
+            for positions in combinations(range(1, code.n + 1), size):
+                cols = code.generator.take_columns([j - 1 for j in positions])
+                assert code.spans(positions) == (cols.rank() == code.k)
+
+    def test_non_mds_columns_do_not_span(self):
+        code = non_mds_f11_code()
+        assert not code.spans((1, 2, 3))
+        assert code.spans((1, 2, 4))
+
+    def test_positions_validated(self, code):
+        for bad in [(0,), (1, code.n + 1)]:
+            with pytest.raises(DimensionMismatch):
+                code.pivots(bad)
 
 
 class TestEncodeRow:

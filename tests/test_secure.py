@@ -6,6 +6,7 @@ import pytest
 
 from twinstore import (
     EavesdropperSpec,
+    FieldMatrix,
     GuaranteeReason,
     PrimeField,
     default_repair_plans,
@@ -141,6 +142,49 @@ class TestGuarantee:
         assert not guaranteed_secure_set(config, cols, [(2, 1), (2, 2)], []).guaranteed
         assert guaranteed_secure_set(config, rows, [(2, 1), (2, 2)], []).guaranteed
         assert not guaranteed_secure_set(config, rows, [(1, 1), (1, 2)], []).guaranteed
+
+
+def guaranteed_by_submatrix_rank(config, layout, nodes):
+    """Reference predicate: the first l rows of the eavesdropped protected-type
+    generator columns, eliminated directly, must have full column rank."""
+    if len(nodes) != len(set(nodes)) or len(nodes) > layout.budget:
+        return False
+    if not nodes:
+        return True
+    if {t for t, _ in nodes} != {layout.protected_type}:
+        return False
+    code = config.code_for(layout.protected_type)
+    columns = [j - 1 for _, j in nodes]
+    sub = FieldMatrix(code.generator.array[: layout.budget, columns], config.field)
+    return sub.rank() == len(columns)
+
+
+class TestGuaranteeMatchesSubmatrixRank:
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
+    def test_random_node_sets(self, f11, style):
+        rng = np.random.default_rng(len(style))
+        config = build_config(f11, 7, 8, 5, style=style)
+        nodes = [(t, j) for t in (1, 2)
+                 for j in range(1, config.node_count(t) + 1)]
+        checked = guaranteed = 0
+        for prot in (1, 2):
+            for l1, l2 in [(1, 0), (0, 2), (2, 1), (3, 1)]:
+                layout = make_secure_layout([0] * (5 * (5 - l1 - l2)), l1, l2,
+                                            5, f11, protected_type=prot)
+                for _ in range(60):
+                    size = int(rng.integers(0, layout.budget + 2))
+                    # half the draws stay within the protected type
+                    pool = ([n for n in nodes if n[0] == prot]
+                            if rng.random() < 0.5 else nodes)
+                    picks = [pool[i] for i in rng.permutation(len(pool))[:size]]
+                    cut = int(rng.integers(0, size + 1))
+                    got = guaranteed_secure_set(config, layout, picks[:cut],
+                                                picks[cut:]).guaranteed
+                    assert got == guaranteed_by_submatrix_rank(
+                        config, layout, picks), (style, prot, l1, l2, picks)
+                    checked += 1
+                    guaranteed += got
+        assert 0 < guaranteed < checked
 
 
 class TestGuaranteeSoundness:
