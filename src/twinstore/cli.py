@@ -18,14 +18,11 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from . import sim
+from . import loader, sim
 from .demo import run_demo
-from .eavesdrop import EavesdropperSpec, default_repair_plans, eavesdrop_report, observe
-from .errors import BadRange, MalformedScenario, TwinstoreError
-from .field import PrimeField
-from .framework import TwinConfig, encode_system
-from .mds import code_from_json
-from .secure import guaranteed_secure_set, make_secure_layout
+from .eavesdrop import default_repair_plans, eavesdrop_report
+from .errors import MalformedInput, TwinstoreError
+from .framework import encode_system
 
 
 def _write_text(path, text):
@@ -36,11 +33,6 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def cmd_bounds(args) -> int:
     rows = bounds_mod.comparison_series(args.kind, k_max=args.k_max, k=args.k,
                                         l1=args.l1)
@@ -49,8 +41,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    g1 = _load_json(args.gen1)["generator"] if args.gen1 else None
-    g2 = _load_json(args.gen2)["generator"] if args.gen2 else None
+    g1, g2 = (loader.generator_matrix(loader.read_json(path)) if path else None
+              for path in (args.gen1, args.gen2))
     checks = run_demo(g1=g1, g2=g2, seed=args.seed)
     width = max(len(name) for name, _, _ in checks)
     all_ok = True
@@ -68,29 +60,16 @@ def cmd_scenario(args) -> int:
     return 1 if log.has_errors else 0
 
 
-def _config_from_args(args, doc=None) -> TwinConfig:
-    if args.style == "explicit":
-        doc = doc or {}
-        if "generator1" not in doc or "generator2" not in doc:
-            raise MalformedScenario(
-                "explicit style needs generator1/generator2 documents in --in"
-            )
-        return TwinConfig.from_codes(code_from_json(doc["generator1"]),
-                                     code_from_json(doc["generator2"]))
-    return TwinConfig.build(PrimeField(args.q), args.n1, args.n2, args.k,
-                            style=args.style)
+def _config(args, doc):
+    # the flags are a config document; explicit generators come from --in
+    return loader.config((doc or {}) if args.style == "explicit" else vars(args),
+                         style=args.style)
 
 
 def cmd_encode(args) -> int:
-    doc = _load_json(args.infile)
-    if isinstance(doc, list):
-        doc = {"payload": doc}
-    config = _config_from_args(args, doc)
-    payload = list(doc["payload"])
-    if args.l1 == args.l2 == 0 and len(payload) < config.k**2:
-        payload += [0] * (config.k**2 - len(payload))  # plain layouts pad
-    layout = make_secure_layout(payload, l1=args.l1, l2=args.l2,
-                                k=config.k, field=config.field, seed=args.seed)
+    doc = loader.read_json(args.infile)
+    config = _config(args, doc)
+    layout = loader.layout({**vars(args), "payload": doc}, config)
     system = encode_system(config, layout.matrix)
     snapshot = system.to_json_dict()
     snapshot["layout"] = layout.to_json_dict()
@@ -99,18 +78,14 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eavesdrop(args) -> int:
-    spec_doc = _load_json(args.infile) if args.infile else None
-    config = _config_from_args(args, spec_doc)
-    capacity = config.k * (config.k - args.l1 - args.l2)
-    layout = make_secure_layout([0] * capacity, l1=args.l1, l2=args.l2,
-                                k=config.k, field=config.field, seed=args.seed)
-    if spec_doc is not None:
-        spec = EavesdropperSpec.of(spec_doc.get("e1", []), spec_doc.get("e2", []))
+    doc = loader.read_json(args.infile) if args.infile else None
+    config = _config(args, doc)
+    layout = loader.layout(vars(args), config)  # flags l1, l2, seed; zero payload
+    if doc is not None:
+        spec = loader.spec(doc, config)
         system = encode_system(config, layout.matrix)
-        obs = observe(system, layout, spec, default_repair_plans(system, spec))
-        report = eavesdrop_report(obs, spec)
-        report["guaranteed"] = guaranteed_secure_set(
-            config, layout, spec.e1, spec.e2).guaranteed
+        report = eavesdrop_report(system, layout, spec,
+                                  default_repair_plans(system, spec))
     else:
         sweep = sim.sweep_eavesdroppers(config, layout,
                                         max_budget=args.l1 + args.l2,
@@ -189,11 +164,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedScenario, BadRange) as exc:
+    except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: bad input: {exc!r}", file=sys.stderr)
         return 2
     except TwinstoreError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .field import FieldMatrix, _pivot_columns
 from .framework import TwinSystem, default_helpers, opposite_type
-from .secure import SecureLayout, source_label
+from .secure import SecureLayout, guaranteed_secure_set, source_label
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,10 @@ class Observation:
     """Eavesdropper view: functionals over the source vector plus values.
 
     observe() also records the structure the closed forms for rank and
-    leakage need: the type and generator column of every observed node
-    (storage reads, then repaired nodes), the column ranks (u, u', v) and
-    whether every observed repair's helpers span F^k.  The matrix and its
-    values are assembled only when read.  An Observation built without
-    that structure is measured by elimination.
+    leakage need: the column ranks (u, u', v) and whether every observed
+    repair's helpers span F^k.  The matrix and its values are assembled
+    only when read.  An Observation built without that structure is
+    measured by elimination.
     """
 
     random_cols: tuple        # source coordinates holding random symbols
@@ -129,8 +128,6 @@ class Observation:
     matrix: FieldMatrix = _Assembled()  # one row per observed symbol, k*k columns
     values: np.ndarray = _Assembled()   # matrix @ source vector
     protected_type: int = 1   # node type the layout's random band shields
-    node_types: tuple = ()    # 1 or 2 per observed node
-    node_vectors: np.ndarray | None = None  # one generator column per row
     helpers_span: bool = False  # every observed repair's helpers span F^k
     # (u, u', v): rank of the observed protected-type columns, rank of
     # their first l rows, rank of the other-type columns
@@ -232,11 +229,7 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     column_ranks = (len(pivots), sum(1 for c in pivots if c < layout.budget),
                     len(config.code_for(other).pivots(positions[other])))
     return Observation(random_cols=layout.random_cols,
-                       payload_cols=layout.payload_cols, k=k,
-                       protected_type=own,
-                       node_types=tuple(t for t, _, _ in nodes),
-                       node_vectors=np.array([g for _, g, _ in nodes],
-                                             dtype=np.int64).reshape(-1, k),
+                       payload_cols=layout.payload_cols, k=k, protected_type=own,
                        helpers_span=helpers_span, column_ranks=column_ranks,
                        assemble=partial(_assemble, config, nodes, layout))
 
@@ -396,12 +389,16 @@ def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:
     return max(mi, 0.0)
 
 
-def eavesdrop_report(obs: Observation, spec: EavesdropperSpec) -> dict:
-    """JSON-ready leakage report for one eavesdropper spec."""
-    revealed = revealed_symbols(obs)
+def eavesdrop_report(system: TwinSystem, layout: SecureLayout,
+                     spec: EavesdropperSpec, repair_plans=None) -> dict:
+    """JSON-ready report for one eavesdropper spec: what it observes
+    (`observe`), what leaks, and whether zero leakage is guaranteed."""
+    obs = observe(system, layout, spec, repair_plans)
     return {
         "spec": spec.to_json_dict(),
         "rank": independent_symbol_count(obs),
         "leakage": leakage(obs),
-        "revealed": sorted(revealed, key=lambda s: (s[0], int(s[1:]))),
+        "revealed": sorted(revealed_symbols(obs), key=lambda s: (s[0], int(s[1:]))),
+        "guaranteed": guaranteed_secure_set(system.config, layout,
+                                            spec.e1, spec.e2).guaranteed,
     }

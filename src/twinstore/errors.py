@@ -1,12 +1,17 @@
 """Exception hierarchy shared by all twinstore modules.
 
 Every domain error derives from TwinstoreError so callers (and the CLI)
-can distinguish domain failures from genuine bugs or usage errors.
+can distinguish domain failures (exit 1) from genuine bugs; MalformedInput
+marks input that cannot be parsed into the object it names (exit 2).
 """
 
 
 class TwinstoreError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class MalformedInput(TwinstoreError):
+    """A document or flag cannot be parsed into the object it names."""
 
 
 # ---------------------------------------------------------------- field / linalg
@@ -110,9 +115,9 @@ class InstanceTooLarge(TwinstoreError):
 
 # ---------------------------------------------------------------- bounds / sim
 
-class BadRange(TwinstoreError):
+class BadRange(MalformedInput):
     """Requested comparison series has an empty or invalid range."""
 
 
-class MalformedScenario(TwinstoreError):
-    """Scenario failed pre-validation (bad indices, types, or sequencing)."""
+class MalformedScenario(MalformedInput):
+    """Scenario failed pre-validation; wraps every loading error, domain ones too."""

@@ -68,10 +68,6 @@ class PrimeField:
         """Draw uniform field elements from a seeded generator."""
         return rng.integers(0, self.p, size=size, dtype=np.int64)
 
-    def elements(self):
-        """Iterate over all residues 0..p-1."""
-        return range(self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -29,13 +29,12 @@ from .errors import (
     NotEnoughLiveNodes,
     PayloadTooLarge,
     SameTypeHelper,
-    UnverifiedCode,
 )
 from .field import FieldMatrix, PrimeField
 from .mds import MdsCode
 
 
-_MAKERS = {"vandermonde": mds.make_vandermonde, "systematic": mds.make_systematic}
+MAKERS = {"vandermonde": mds.make_vandermonde, "systematic": mds.make_systematic}
 
 
 def opposite_type(node_type: int) -> int:
@@ -97,7 +96,7 @@ class TwinConfig:
     @classmethod
     def build(cls, field: PrimeField, n1: int, n2: int, k: int,
               style: str = "vandermonde") -> "TwinConfig":
-        maker = _MAKERS.get(style)
+        maker = MAKERS.get(style)
         if maker is None:
             raise ValueError(f"unknown style {style!r}")
         return cls(field=field, n1=n1, n2=n2, k=k,
@@ -283,60 +282,14 @@ class TwinSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TwinSystem":
-        config = config_from_json(doc["config"])
-        def family(node_type, entries, count):
-            if len(entries) != count:
-                raise DimensionMismatch(
-                    f"type {node_type} wants {count} nodes, got {len(entries)}"
-                )
-            nodes, live = [], []
-            for slot, entry in enumerate(entries, start=1):
-                if int(entry["index"]) != slot:
-                    raise DimensionMismatch(f"node entries out of order at {slot}")
-                syms = entry["symbols"]
-                nodes.append(NodeContent(
-                    node_type=node_type, node_index=slot,
-                    symbols=None if syms is None else config.field.reduce(syms)))
-                live.append(bool(entry["live"]))
-            return tuple(nodes), tuple(live)
-        nodes1, live1 = family(1, doc["nodes"]["type1"], config.n1)
-        nodes2, live2 = family(2, doc["nodes"]["type2"], config.n2)
-        return cls(config=config, nodes1=nodes1, nodes2=nodes2,
-                   live1=live1, live2=live2)
+        from .loader import snapshot  # the loader builds on this module
+        return snapshot(doc)
 
 
 def _code_doc(code: MdsCode) -> dict:
     return {"style": code.style,
             "points": None if code.eval_points is None else list(code.eval_points),
             "generator": code.generator.tolist()}
-
-
-def config_from_json(doc: dict) -> TwinConfig:
-    """Rebuild a snapshot's config, verifying each stored code.
-
-    A vandermonde or systematic generator is rebuilt from its stored
-    points (exact, O(nk), no size cap) and must equal the stored one; an
-    explicit one goes through mds.load_explicit and its minor check.
-    """
-    field = PrimeField(int(doc["q"]))
-    codes = [_code_from_doc(code_doc, field) for code_doc in doc["codes"]]
-    return TwinConfig(field=field, n1=int(doc["n1"]), n2=int(doc["n2"]),
-                      k=int(doc["k"]), code1=codes[0], code2=codes[1])
-
-
-def _code_from_doc(code_doc: dict, field: PrimeField) -> MdsCode:
-    gen = FieldMatrix(code_doc["generator"], field)
-    style = code_doc["style"]
-    if style == "explicit":
-        return mds.load_explicit(gen)
-    maker = _MAKERS.get(style)
-    if maker is None:
-        raise UnverifiedCode(f"unknown code style {style!r}")
-    code = maker(gen.cols, gen.rows, field, code_doc.get("points"))
-    if code.generator != gen:
-        raise UnverifiedCode(
-            f"stored {style} generator differs from the one its points define")
-    return code
 
 
 # ----------------------------------------------------------------------

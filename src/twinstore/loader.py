@@ -1,0 +1,213 @@
+"""One loader for every document the CLI, scenarios and snapshots read
+(README "File formats").  Input that cannot be parsed into the object it
+names raises MalformedInput: a wrong JSON type, a missing key, a
+non-integer (or one beyond 64 bits), an unknown node type or style, a
+non-prime modulus, a node outside the config, duplicate or overlapping
+nodes.  Valid input the math refuses keeps its domain error.
+"""
+
+from __future__ import annotations
+
+import json
+import reprlib
+
+from . import mds
+from .eavesdrop import EavesdropperSpec
+from .errors import MalformedInput, UnverifiedCode
+from .field import FieldMatrix, PrimeField
+from .framework import MAKERS, NodeContent, TwinConfig, TwinSystem
+from .secure import make_secure_layout
+
+
+def read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from None
+
+
+def _check(ok, what, value, want):
+    if not ok:
+        raise MalformedInput(f"{what} must be {want}, got {reprlib.repr(value)}")
+    return value
+
+
+def _get(doc, key, what):
+    if key not in doc:
+        raise MalformedInput(f"{what} is missing {key!r}")
+    return doc[key]
+
+
+def as_object(doc, what) -> dict:
+    return _check(isinstance(doc, dict), what, doc, "a JSON object")
+
+
+def as_list(value, what) -> list:
+    return list(_check(isinstance(value, (list, tuple)), what, value, "a list"))
+
+
+def integer(value, what, low=-2**63) -> int:
+    ok = isinstance(value, int) and not isinstance(value, bool) and low <= value < 2**63
+    return _check(ok, what, value, "an integer" if low < 0 else f"an integer >= {low}")
+
+
+def _field(value, what) -> PrimeField:
+    try:
+        return PrimeField(integer(value, what))
+    except ValueError as exc:
+        raise MalformedInput(f"{what}: {exc}") from None
+
+
+def _matrix(value, what) -> list:
+    rows = as_list(value, what)
+    _check(rows and all(isinstance(r, (list, tuple)) and len(r) == len(rows[0]) > 0
+                        for r in rows), what, value, "a non-empty rectangular matrix")
+    return [[integer(x, f"{what} entry") for x in row] for row in rows]
+
+
+def node_type(value, what="node type") -> int:
+    return _check(integer(value, what) in (1, 2), what, value, "1 or 2")
+
+
+def node_index(config: TwinConfig, t: int, value, what="node index") -> int:
+    count = config.node_count(t)
+    return _check(1 <= integer(value, what) <= count, what, value,
+                  f"a type {t} index in 1..{count}")
+
+
+def nodes(value, config: TwinConfig, what) -> list:
+    """[[type, index], ...] node references, each inside the config."""
+    out = []
+    for item in as_list(value, what):
+        t, j = _check(isinstance(item, (list, tuple)) and len(item) == 2,
+                      f"{what} entries", item, "[type, index] pairs")
+        t = node_type(t, f"{what} node type")
+        out.append((t, node_index(config, t, j, what)))
+    return out
+
+
+def code(doc, what="generator") -> mds.MdsCode:
+    """Generator document {"p", "n", "k", "generator"}: an MDS-verified code."""
+    doc = as_object(doc, what)
+    _field(_get(doc, "p", what), f"{what} p")
+    for key in ("n", "k"):
+        integer(_get(doc, key, what), f"{what} {key}")
+    _matrix(_get(doc, "generator", what), f"{what} generator")
+    return mds.code_from_json(doc)
+
+
+def generator_matrix(doc) -> list:
+    """`demo --gen1/--gen2` document: the k x n rows under "generator"."""
+    what = "generator document"
+    return _matrix(_get(as_object(doc, what), "generator", what), "generator")
+
+
+def _stored_code(doc, field: PrimeField) -> mds.MdsCode:
+    """A snapshot's {"style", "points", "generator"}: explicit generators get
+    the minor check; the others are rebuilt from their points and must match."""
+    doc = as_object(doc, "code")
+    gen = FieldMatrix(_matrix(_get(doc, "generator", "code"), "code generator"), field)
+    style, points = _get(doc, "style", "code"), doc.get("points")
+    if style == "explicit":
+        return mds.load_explicit(gen)
+    if not (isinstance(style, str) and style in MAKERS):
+        raise UnverifiedCode(f"unknown code style {style!r}")
+    if points is not None:
+        points = [integer(x, "code point") for x in as_list(points, "code points")]
+    built = MAKERS[style](gen.cols, gen.rows, field, points)
+    if built.generator != gen:
+        raise UnverifiedCode(
+            f"stored {style} generator differs from the one its points define")
+    return built
+
+
+def config(doc, style=None) -> TwinConfig:
+    """Config document -> TwinConfig; `style` overrides the document's.
+
+    {"q", "n1", "n2", "k", "style"} builds both codes from the style.
+    Style "explicit" reads "generator1"/"generator2" generator documents;
+    any of the four sizes given must match them.  Style "stored" reads a
+    snapshot's config, whose "codes" carry their own (see _stored_code).
+    """
+    doc = as_object(doc, "config")
+    if style is None:  # "stored" is for snapshots only
+        style = doc.get("style", "vandermonde")
+        _check(style in (*MAKERS, "explicit"), "style", style, "one of "
+               + ", ".join((*MAKERS, "explicit")))
+    if style == "explicit":
+        built = TwinConfig.from_codes(*(code(_get(doc, key, "explicit config"), key)
+                                        for key in ("generator1", "generator2")))
+        actual = {"q": built.field.p, "n1": built.n1, "n2": built.n2, "k": built.k}
+        if any(integer(doc[key], key) != actual[key] for key in actual if key in doc):
+            raise MalformedInput("declared sizes do not match the generator documents")
+        return built
+    field = _field(_get(doc, "q", "config"), "q")
+    n1, n2, k = (integer(_get(doc, key, "config"), key) for key in ("n1", "n2", "k"))
+    if style == "stored":
+        codes = as_list(_get(doc, "codes", "config"), "codes")
+        _check(len(codes) == 2, "codes", codes, "two code documents")
+        return TwinConfig(field, n1, n2, k, *(_stored_code(c, field) for c in codes))
+    return TwinConfig.build(field, n1, n2, k, style=style)
+
+
+def payload(doc) -> list:
+    """A list of integers, or an object holding one under "payload"."""
+    if isinstance(doc, dict):
+        doc = _get(doc, "payload", "payload document")
+    return [integer(x, "payload symbol") for x in as_list(doc, "payload")]
+
+
+def layout(doc, config: TwinConfig):
+    """{"l1", "l2", "seed", "protected_type", "payload"} -> SecureLayout.
+
+    Defaults 0, 0, 0, 1; the payload goes through `payload`.  A plain
+    layout (l1 = l2 = 0) zero-pads a short payload, and a layout with no
+    payload holds zeros; a secure one needs exactly k*(k-l1-l2) symbols.
+    """
+    doc = as_object(doc, "layout")
+    l1, l2, seed = (integer(doc.get(key, 0), key, low=0) for key in ("l1", "l2", "seed"))
+    protected = node_type(doc.get("protected_type", 1), "protected_type")
+    values = payload(doc["payload"]) if "payload" in doc else []
+    if l1 == l2 == 0 or "payload" not in doc:
+        values += [0] * (config.k * (config.k - l1 - l2) - len(values))
+    return make_secure_layout(values, l1=l1, l2=l2, k=config.k, field=config.field,
+                              seed=seed, protected_type=protected)
+
+
+def spec(doc, config: TwinConfig) -> EavesdropperSpec:
+    """{"e1": [[type, index], ...], "e2": [...]}: storage reads, observed repairs."""
+    doc = as_object(doc, "spec")
+    e1, e2 = (nodes(doc.get(key, []), config, key) for key in ("e1", "e2"))
+    try:
+        return EavesdropperSpec.of(e1, e2)
+    except ValueError as exc:  # duplicate or overlapping nodes
+        raise MalformedInput(str(exc)) from None
+
+
+def snapshot(doc) -> TwinSystem:
+    """{"config", "nodes": {"type1": [...], "type2": [...]}}, one entry
+    {"index", "symbols", "live"} per node in index order."""
+    doc = as_object(doc, "snapshot")
+    cfg = config(_get(doc, "config", "snapshot"), style="stored")
+    families = as_object(_get(doc, "nodes", "snapshot"), "snapshot nodes")
+    parts = {1: [], 2: []}
+    for t in (1, 2):
+        entries = as_list(_get(families, f"type{t}", "snapshot nodes"), f"type{t}")
+        _check(len(entries) == cfg.node_count(t), f"type{t}", entries,
+               f"{cfg.node_count(t)} node entries")
+        for slot, entry in enumerate(entries, start=1):
+            what = f"type {t} node {slot}"
+            entry = as_object(entry, what)
+            _check(integer(_get(entry, "index", what), what) == slot, f"{what} index",
+                   entry["index"], slot)
+            syms = _get(entry, "symbols", what)
+            if syms is not None:
+                syms = [integer(x, f"{what} symbol") for x in as_list(syms, what)]
+                _check(len(syms) == cfg.k, what, syms, f"{cfg.k} symbols")
+                syms = cfg.field.reduce(syms)
+            live = _get(entry, "live", what)
+            _check(isinstance(live, bool), f"{what} live", live, "true or false")
+            parts[t].append((NodeContent(t, slot, syms), live))
+    (nodes1, live1), (nodes2, live2) = (zip(*parts[t]) for t in (1, 2))
+    return TwinSystem(cfg, nodes1, nodes2, live1, live2)

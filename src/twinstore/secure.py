@@ -26,7 +26,6 @@ predicate should be measured with the leakage oracle instead.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,14 +91,6 @@ class SecureLayout:
                 "seed": self.seed, "protected_type": self.protected_type,
                 "payload": self.payload.tolist()}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SecureLayout":
-        return make_secure_layout(
-            payload=doc["payload"], l1=int(doc["l1"]), l2=int(doc["l2"]),
-            k=int(doc["k"]), field=PrimeField(int(doc["q"])),
-            seed=int(doc["seed"]),
-            protected_type=int(doc.get("protected_type", 1)))
-
 
 def source_label(coord: int, random_cols) -> str:
     """r (random) or a (payload) plus the 1-based index of source coordinate
@@ -134,14 +125,6 @@ def make_secure_layout(payload, l1: int, l2: int, k: int, field: PrimeField,
     return SecureLayout(k=k, l1=l1, l2=l2, field=field, seed=int(seed),
                         protected_type=protected_type,
                         random_symbols=rand, payload=vals, matrix=matrix)
-
-
-def layout_to_json(layout: SecureLayout) -> str:
-    return json.dumps(layout.to_json_dict())
-
-
-def layout_from_json(text: str) -> SecureLayout:
-    return SecureLayout.from_json_dict(json.loads(text))
 
 
 def recover_payload(layout: SecureLayout, msg: MessageMatrix) -> np.ndarray:

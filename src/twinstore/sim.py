@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from . import framework
+from . import framework, loader
 from .eavesdrop import (
     EavesdropperSpec,
     eavesdrop_report,
@@ -30,45 +30,14 @@ from .eavesdrop import (
     observe,
 )
 from .errors import (
+    MalformedInput,
     MalformedScenario,
     MixedTypes,
     TwinstoreError,
     WrongHelperType,
 )
 from .framework import TwinConfig, TwinSystem, opposite_type
-from .mds import code_from_json
-from .secure import SecureLayout, guaranteed_secure_set, make_secure_layout
-
-
-# ----------------------------------------------------------------------
-# Node-reference validation shared with the event parser.
-
-def check_same_type(refs, expected_type=None) -> int:
-    """Validate (type, index) pairs share one type; return it."""
-    types = {int(t) for t, _ in refs}
-    if len(types) > 1:
-        raise MixedTypes(f"node references mix types: {sorted(types)}")
-    found = types.pop() if types else expected_type
-    if expected_type is not None and found != expected_type:
-        raise MixedTypes(f"expected type {expected_type}, got {found}")
-    return found
-
-
-def check_helper_refs(failed_type: int, refs) -> list:
-    """Normalize explicit helper references to indices of the opposite type."""
-    helper_type = opposite_type(failed_type)
-    out = []
-    for ref in refs:
-        if isinstance(ref, (list, tuple)):
-            t, j = int(ref[0]), int(ref[1])
-            if t != helper_type:
-                raise WrongHelperType(
-                    f"helper ({t},{j}) must be of type {helper_type}"
-                )
-            out.append(j)
-        else:
-            out.append(int(ref))
-    return out
+from .secure import SecureLayout, guaranteed_secure_set
 
 
 # ----------------------------------------------------------------------
@@ -133,10 +102,6 @@ class Scenario:
     seed: int
     events: tuple
 
-    def validate(self):
-        _static_liveness_walk(self)
-        return self
-
 
 @dataclass
 class EventLog:
@@ -156,159 +121,77 @@ class EventLog:
 
 
 # ----------------------------------------------------------------------
-# Parsing.
+# Parsing, through the loader; every error becomes a MalformedScenario.
 
 def _require(cond, msg):
     if not cond:
         raise MalformedScenario(msg)
 
 
-def _parse_node_type(doc, key="type"):
-    t = doc.get(key)
-    _require(t in (1, 2), f"node type must be 1 or 2, got {t!r}")
-    return int(t)
-
-
-def _parse_index(config, node_type, value):
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"node index must be an integer, got {value!r}")
-    count = config.node_count(node_type)
-    _require(1 <= value <= count,
-             f"type {node_type} index {value} outside 1..{count}")
-    return int(value)
-
-
-def _parse_pairs(config, raw, what):
-    _require(isinstance(raw, list), f"{what} must be a list of [type, index] pairs")
-    pairs = []
-    for item in raw:
-        _require(isinstance(item, (list, tuple)) and len(item) == 2,
-                 f"{what} entries must be [type, index] pairs, got {item!r}")
-        t = int(item[0])
-        _require(t in (1, 2), f"{what} node type must be 1 or 2, got {item!r}")
-        pairs.append((t, _parse_index(config, t, item[1])))
-    return pairs
+def _node_list(config, refs, node_type, what, wrong_type=MixedTypes) -> tuple:
+    """k distinct nodes of one type, each an index or a [type, index] pair."""
+    pairs = loader.nodes([r if isinstance(r, (list, tuple)) else (node_type, r)
+                          for r in loader.as_list(refs, what)], config, what)
+    if any(t != node_type for t, _ in pairs):
+        raise wrong_type(f"{what} must all be of type {node_type}, got {refs}")
+    idx = tuple(j for _, j in pairs)
+    _require(len(idx) == len(set(idx)) == config.k,
+             f"{what} needs k={config.k} distinct nodes, got {refs}")
+    return idx
 
 
 def parse_event(config: TwinConfig, doc: dict):
-    _require(isinstance(doc, dict), f"event must be an object, got {doc!r}")
+    doc = loader.as_object(doc, "event")
     op = doc.get("op")
+    if op in ("fail", "repair", "reconstruct"):
+        t = loader.node_type(doc.get("type"))
     if op == "fail":
-        t = _parse_node_type(doc)
-        return Fail(t, _parse_index(config, t, doc.get("index")))
+        return Fail(t, loader.node_index(config, t, doc.get("index")))
     if op == "repair":
-        t = _parse_node_type(doc)
-        j = _parse_index(config, t, doc.get("index"))
         helpers = doc.get("helpers")
         if helpers is not None:
-            _require(isinstance(helpers, list), "helpers must be a list")
-            try:
-                idx = check_helper_refs(t, helpers)
-            except (WrongHelperType, ValueError) as exc:
-                raise MalformedScenario(str(exc)) from exc
-            helper_type = opposite_type(t)
-            idx = [_parse_index(config, helper_type, h) for h in idx]
-            _require(len(idx) == config.k and len(set(idx)) == config.k,
-                     f"repair needs k={config.k} distinct helpers, got {helpers}")
-            helpers = tuple(idx)
-        return Repair(t, j, helpers)
+            helpers = _node_list(config, helpers, opposite_type(t), "helpers",
+                                 WrongHelperType)
+        return Repair(t, loader.node_index(config, t, doc.get("index")), helpers)
     if op == "reconstruct":
-        t = _parse_node_type(doc)
         nodes = doc.get("nodes")
-        if nodes is not None:
-            _require(isinstance(nodes, list), "nodes must be a list")
-            if nodes and isinstance(nodes[0], (list, tuple)):
-                try:
-                    pairs = _parse_pairs(config, nodes, "nodes")
-                    check_same_type(pairs, expected_type=t)
-                except MixedTypes as exc:
-                    raise MalformedScenario(str(exc)) from exc
-                idx = [j for _, j in pairs]
-            else:
-                idx = [_parse_index(config, t, j) for j in nodes]
-            _require(len(idx) == config.k and len(set(idx)) == config.k,
-                     f"reconstruct needs k={config.k} distinct nodes, got {nodes}")
-            nodes = tuple(idx)
-        return Reconstruct(t, nodes)
+        return Reconstruct(t, None if nodes is None
+                           else _node_list(config, nodes, t, "nodes"))
     if op == "eavesdrop":
-        e1 = _parse_pairs(config, doc.get("e1", []), "e1")
-        e2 = _parse_pairs(config, doc.get("e2", []), "e2")
-        try:
-            spec = EavesdropperSpec.of(e1, e2)
-        except ValueError as exc:
-            raise MalformedScenario(str(exc)) from exc
+        spec = loader.spec(doc, config)
         _require(spec.budget < config.k,
                  f"eavesdropper budget must stay below k={config.k}")
         return Eavesdrop(spec)
     if op == "deploy":
-        seeds = []
-        for key, node_type in (("seeds1", 1), ("seeds2", 2)):
-            raw = doc.get(key)
-            _require(isinstance(raw, list), f"{key} must be a list of indices")
-            idx = [_parse_index(config, node_type, j) for j in raw]
-            _require(len(idx) == config.k and len(set(idx)) == config.k,
-                     f"{key} needs k={config.k} distinct indices, got {raw}")
-            seeds.append(tuple(idx))
-        return Deploy(seeds[0], seeds[1])
+        return Deploy(*(_node_list(config, doc.get(key), t, key)
+                        for key, t in (("seeds1", 1), ("seeds2", 2))))
     raise MalformedScenario(f"unknown event op {op!r}")
 
 
-def _parse_config(doc: dict) -> TwinConfig:
-    for key in ("q", "n1", "n2", "k"):
-        _require(key in doc, f"config is missing {key!r}")
-    style = doc.get("style", "vandermonde")
+def scenario_from_json(doc: dict) -> Scenario:
+    """Parse and pre-validate a scenario document: {"config", "layout",
+    "seed", "events"}, see twinstore.loader for the first two."""
     try:
-        if style == "explicit":
-            _require("generator1" in doc and "generator2" in doc,
-                     "explicit style needs generator1 and generator2 documents")
-            code1 = code_from_json(doc["generator1"])
-            code2 = code_from_json(doc["generator2"])
-            config = TwinConfig.from_codes(code1, code2)
-            _require((config.n1, config.n2, config.k, config.field.p)
-                     == (doc["n1"], doc["n2"], doc["k"], doc["q"]),
-                     "declared config does not match the generator documents")
-            return config
-        from .field import PrimeField
-        return TwinConfig.build(PrimeField(int(doc["q"])), int(doc["n1"]),
-                                int(doc["n2"]), int(doc["k"]), style=style)
+        doc = loader.as_object(doc, "scenario")
+        config = loader.config(doc.get("config", {}))
+        layout = loader.layout(doc.get("layout", {}), config)
+        events = tuple(parse_event(config, e)
+                       for e in loader.as_list(doc.get("events", []), "events"))
+        scenario = Scenario(config=config, layout=layout, events=events,
+                            seed=loader.integer(doc.get("seed", 0), "seed"))
     except MalformedScenario:
         raise
-    except (TwinstoreError, ValueError) as exc:
-        raise MalformedScenario(f"bad config: {exc}") from exc
-
-
-def scenario_from_json(doc: dict) -> Scenario:
-    """Parse and pre-validate a scenario document."""
-    _require(isinstance(doc, dict), "scenario must be a JSON object")
-    config = _parse_config(doc.get("config", {}))
-    layout_doc = doc.get("layout", {})
-    _require(isinstance(layout_doc, dict), "layout must be an object")
-    try:
-        l1 = int(layout_doc.get("l1", 0))
-        l2 = int(layout_doc.get("l2", 0))
-        payload = list(layout_doc.get("payload", []))
-        if l1 == l2 == 0 and len(payload) < config.k**2:
-            payload += [0] * (config.k**2 - len(payload))  # plain layouts pad
-        layout = make_secure_layout(
-            payload=payload, l1=l1, l2=l2, k=config.k, field=config.field,
-            seed=int(layout_doc.get("seed", 0)),
-            protected_type=int(layout_doc.get("protected_type", 1)))
-    except (TwinstoreError, ValueError) as exc:
-        raise MalformedScenario(f"bad layout: {exc}") from exc
-    raw_events = doc.get("events", [])
-    _require(isinstance(raw_events, list), "events must be a list")
-    events = tuple(parse_event(config, e) for e in raw_events)
-    scenario = Scenario(config=config, layout=layout,
-                        seed=int(doc.get("seed", 0)), events=events)
-    return scenario.validate()
+    except TwinstoreError as exc:
+        raise MalformedScenario(str(exc)) from exc
+    _static_liveness_walk(scenario)
+    return scenario
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedScenario(f"invalid JSON: {exc}") from exc
+    try:
+        doc = loader.read_json(path)
+    except MalformedInput as exc:
+        raise MalformedScenario(str(exc)) from exc
     return scenario_from_json(doc)
 
 
@@ -395,12 +278,9 @@ def run(scenario: Scenario) -> EventLog:
                 record(event, ok=False, error="MissingRepairPlan",
                        report={"unplanned": [list(n) for n in missing]})
                 continue
-            obs = observe(system, scenario.layout, event.spec,
-                          {n: plans[n] for n in event.spec.e2})
-            report = eavesdrop_report(obs, event.spec)
-            report["guaranteed"] = guaranteed_secure_set(
-                config, scenario.layout, event.spec.e1, event.spec.e2).guaranteed
-            record(event, report=report)
+            record(event, report=eavesdrop_report(
+                system, scenario.layout, event.spec,
+                {n: plans[n] for n in event.spec.e2}))
         elif isinstance(event, Deploy):
             system = framework.deploy(config, scenario.layout.matrix,
                                       event.seeds1, event.seeds2)

@@ -344,3 +344,48 @@ class TestRevealedBytesPinned:
         assert report["revealed"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "b6440db7b647f3878ab4e660a68f4604ce6a614639b441074057daaba6511080")
+
+
+# Inputs that cannot be parsed into the object they name: each exits 2
+# with a one-line message.  The argv gets `--in <doc>` when doc is given.
+MALFORMED_PROBES = [
+    ("spec-node-type-3", ["eavesdrop"], {"e1": [[3, 1]]}),
+    ("spec-e1-not-a-list", ["eavesdrop"], {"e1": "x"}),
+    ("spec-not-an-object", ["eavesdrop"], "abc"),
+    ("spec-overlapping-nodes", ["eavesdrop", "--l1", "1", "--l2", "1"],
+     {"e1": [[1, 1]], "e2": [[1, 1]]}),
+    ("spec-index-outside-config", ["eavesdrop"], {"e1": [[1, 99]]}),
+    ("payload-string-symbol", ["encode"], [1, 2, "a"]),
+    ("payload-not-a-list", ["encode"], {"payload": 5}),
+    ("payload-ragged", ["encode"], [[1, 2], [3]]),
+    ("explicit-generators-not-objects", ["encode", "--style", "explicit"],
+     {"payload": [1, 2], "generator1": 3, "generator2": 4}),
+    ("non-prime-modulus", ["eavesdrop", "--q", "10"], None),
+    ("scenario-string-node-type", ["scenario"],
+     demo_scenario_doc([{"op": "eavesdrop", "e1": [["a", 1]]}])),
+]
+
+
+def one_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, doc", [p[1:] for p in MALFORMED_PROBES],
+                             ids=[p[0] for p in MALFORMED_PROBES])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, argv, doc):
+        if doc is not None:
+            argv = [*argv, "--in", write_json(tmp_path / "in.json", doc)]
+        assert main(argv) == 2
+        one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["eavesdrop", "--k", "0"], "DimensionMismatch"),   # k outside 1..n
+        (["eavesdrop", "--l1", "5"], "BudgetExceeded"),     # budget >= k = 4
+    ])
+    def test_valid_input_the_math_refuses_exits_1(self, capsys, argv, error):
+        assert main(argv) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(f"error: {error}:")

@@ -26,6 +26,7 @@ from twinstore.errors import (
     NotEnoughHelpers,
     NotEnoughLiveNodes,
     PayloadTooLarge,
+    MalformedInput,
     SameTypeHelper,
     UnverifiedCode,
 )
@@ -341,4 +342,21 @@ class TestSnapshotJson:
         doc = json.loads(json.dumps(wide_doc))
         doc["config"]["codes"][0].update(style=style, points=None)
         with pytest.raises(UnverifiedCode):
+            TwinSystem.from_json_dict(doc)
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc.pop("nodes"),
+        lambda doc: doc["config"].pop("codes"),
+        lambda doc: doc["config"].update(q=10),
+        lambda doc: doc["config"]["codes"][0].update(generator=[[1, 2], [3]]),
+        lambda doc: doc["nodes"]["type1"].pop(),
+        lambda doc: doc["nodes"]["type2"][0].update(index=2),
+        lambda doc: doc["nodes"]["type2"][0].update(symbols=[1, 2, 3]),
+        lambda doc: doc["nodes"]["type2"][0].update(symbols=[1, 2, 3, "4"]),
+        lambda doc: doc["nodes"]["type1"][2].update(live=1),
+    ])
+    def test_malformed_snapshot_refused(self, demo_system, damage):
+        doc = json.loads(json.dumps(demo_system.to_json_dict()))
+        damage(doc)
+        with pytest.raises(MalformedInput):
             TwinSystem.from_json_dict(doc)

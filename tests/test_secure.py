@@ -19,8 +19,9 @@ from twinstore import (
     recover_payload,
     secure_capacity_twin,
 )
+from twinstore import loader
 from twinstore.errors import BadPayloadLength, BudgetExceeded
-from twinstore.secure import SecureLayout, layout_from_json, layout_to_json
+from twinstore.secure import SecureLayout
 
 from conftest import build_config
 
@@ -86,7 +87,8 @@ class TestLayout:
 
     def test_json_roundtrip(self, f11):
         layout = make_secure_layout(list(range(8)), 2, 0, 4, f11, seed=99)
-        again = layout_from_json(layout_to_json(layout))
+        doc = json.loads(json.dumps(layout.to_json_dict()))
+        again = loader.layout(doc, build_config(f11, 5, 6, 4))
         assert np.array_equal(again.random_symbols, layout.random_symbols)
         assert again.matrix.a1 == layout.matrix.a1
         assert isinstance(again, SecureLayout)
