@@ -16,7 +16,6 @@ scenario_doc = {
         "generator2": {"p": 11, "n": 6, "k": 4, "generator": DEMO_G2},
     },
     "layout": {"l1": 2, "l2": 0, "seed": 7, "payload": [1, 2, 3, 4, 5, 6, 7, 8]},
-    "seed": 0,
     "events": [
         {"op": "fail", "type": 2, "index": 2},
         {"op": "repair", "type": 2, "index": 2, "helpers": [1, 3, 4, 5]},

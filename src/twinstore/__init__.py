@@ -33,9 +33,7 @@ from .field import (
     PrimeField,
     in_row_space,
     is_prime,
-    mat_mul,
     rank,
-    solve_square,
 )
 from .framework import (
     EncodingVector,

@@ -29,8 +29,11 @@ def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {path}: {exc}") from None
 
 
 def cmd_bounds(args) -> int:

@@ -31,10 +31,12 @@ enumerating every source vector.
 outright, comes from one reduced row echelon form of M and holds for any
 M: coordinate i is revealed iff some RREF row is the unit vector e_i.
 
-Observation rows are assembled symbolically from generator columns, so
-the result is a property of the scheme rather than of one random draw.
-`observe` validates the spec and records the observed nodes at once, but
-assembles M and its values only when something reads `obs.matrix` or
+`observe`, the only constructor of `Observation`, validates a spec and
+records the config and layout, the observed nodes (type, index, and the
+helpers of an observed repair), the helper-span flag and the column
+ranks (u, u', v).  The rows of M are assembled symbolically from
+generator columns, so the result is a property of the scheme rather
+than of one random draw, and only when something reads `obs.matrix` or
 `obs.values`: `revealed_symbols`, the elimination fallbacks and
 `brute_force_mi`.  Rank and leakage never do.
 """
@@ -42,9 +44,8 @@ assembles M and its values only when something reads `obs.matrix` or
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +56,8 @@ from .errors import (
     MissingRepairPlan,
 )
 from .field import FieldMatrix, _pivot_columns
-from .framework import TwinSystem, default_helpers, opposite_type
-from .secure import SecureLayout, guaranteed_secure_set, source_label
+from .framework import TwinConfig, TwinSystem, default_helpers, opposite_type
+from .secure import SecureLayout, guaranteed_secure_set
 
 
 @dataclass(frozen=True)
@@ -88,59 +89,46 @@ class EavesdropperSpec:
                 "e2": [list(x) for x in self.e2]}
 
 
-class _Assembled:
-    """An Observation field that, when not given, is assembled on first read.
-
-    observe() leaves `matrix` and `values` out and records how to build
-    them; rank and leakage never read them, so a sweep never builds them.
-    A hand-built Observation passes both.
-    """
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, obs, owner=None):
-        if obs is None:
-            return None  # the dataclass default: assemble on demand
-        if obs.__dict__[self.key] is None:
-            matrix, values = obs.assemble()
-            obs.__dict__.update(_matrix=matrix, _values=values)
-        return obs.__dict__[self.key]
-
-    def __set__(self, obs, value):
-        obs.__dict__[self.key] = value
-
-
 @dataclass(frozen=True)
 class Observation:
-    """Eavesdropper view: functionals over the source vector plus values.
+    """What observe() recorded of one eavesdropper spec.
 
-    observe() also records the structure the closed forms for rank and
-    leakage need: the column ranks (u, u', v) and whether every observed
-    repair's helpers span F^k.  The matrix and its values are assembled
-    only when read.  An Observation built without that structure is
-    measured by elimination.
+    `nodes` holds one (type, index, helpers or None) entry per observed
+    node: None for a storage read, the k helper indices for an observed
+    repair.  `column_ranks` is (u, u', v): the rank of the observed
+    protected-type generator columns, the rank of their first l rows and
+    the rank of the observed other-type columns.  `helpers_span` says
+    whether every observed repair's helpers span F^k, which the closed
+    forms for rank and leakage need.  The matrix M and its observed
+    values are assembled from `nodes` on first read.
     """
 
-    random_cols: tuple        # source coordinates holding random symbols
-    payload_cols: tuple
-    k: int
-    matrix: FieldMatrix = _Assembled()  # one row per observed symbol, k*k columns
-    values: np.ndarray = _Assembled()   # matrix @ source vector
-    protected_type: int = 1   # node type the layout's random band shields
-    helpers_span: bool = False  # every observed repair's helpers span F^k
-    # (u, u', v): rank of the observed protected-type columns, rank of
-    # their first l rows, rank of the other-type columns
-    column_ranks: tuple | None = None
-    assemble: Callable | None = field(default=None, repr=False, compare=False)
+    config: TwinConfig
+    layout: SecureLayout
+    nodes: tuple
+    helpers_span: bool
+    column_ranks: tuple
 
-    def label(self, coord: int) -> str:
-        return source_label(coord, self.random_cols)
+    @cached_property
+    def matrix(self) -> FieldMatrix:
+        """One row per observed symbol, k*k columns."""
+        config = self.config
+        k, p = config.k, config.field.p
+        blocks = [np.zeros((0, k * k), dtype=np.int64)]
+        for t, j, helpers in self.nodes:
+            g = config.code_for(t).encoding_vector(j)
+            if helpers is None:
+                blocks.append(_storage_rows(k, t, g, p))
+            else:
+                generator = config.code_for(opposite_type(t)).generator.array
+                blocks.append(_repair_rows(
+                    k, t, g, generator[:, [h - 1 for h in helpers]].T, p))
+        return FieldMatrix(np.vstack(blocks), config.field)
 
-    @property
-    def _closed_form_ranks(self):
-        """(u, u', v) where the closed forms apply, else None."""
-        return self.column_ranks if self.helpers_span else None
+    @cached_property
+    def values(self) -> np.ndarray:
+        """matrix @ source vector."""
+        return self.matrix @ self.layout.source_vector()
 
 
 def _storage_rows(k: int, node_type: int, g: np.ndarray, p: int) -> np.ndarray:
@@ -176,16 +164,16 @@ def _repair_rows(k: int, failed_type: int, g_failed: np.ndarray,
 
 def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
             repair_plans=None) -> Observation:
-    """The eavesdropper's observation: its node structure now, its matrix
-    and observed values when first read.
+    """The eavesdropper's observation: the only constructor of Observation.
 
     repair_plans maps each e2 node (type, index) to the k helper indices
     used for its observed repair; the functionals do not depend on when
     the repair happened, only on which helpers served it.  Every node and
-    plan is validated here, before anything is assembled.  The column
-    ranks (u, u', v) and the helper-span check come from each code's
-    memoized `MdsCode.pivots`, so a sweep eliminates once per distinct
-    position set rather than once per spec.
+    plan is validated here, before anything is assembled; a node outside
+    its code fails in `MdsCode.pivots`.  The column ranks (u, u', v) and
+    the helper-span check come from each code's memoized `MdsCode.pivots`,
+    so a sweep eliminates once per distinct position set rather than once
+    per spec.
     """
     config = system.config
     k = config.k
@@ -195,22 +183,15 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
         raise BudgetExceeded(f"need |e1| + |e2| < k = {k}, got {spec.budget}")
     repair_plans = dict(repair_plans or {})
 
-    nodes = []  # (type, generator column, helper positions or None)
-    positions = {1: [], 2: []}
+    nodes = [(node_type, j, None) for node_type, j in spec.e1]
     helpers_span = True
-    for node_type, j in spec.e1:
-        # code_for and _storage_rows treat every type other than 1 as Type 2
-        node_type = 1 if node_type == 1 else 2
-        nodes.append((node_type, config.code_for(node_type).encoding_vector(j),
-                      None))
-        positions[node_type].append(j)
     for node_type, j in spec.e2:
         plan = repair_plans.get((node_type, j))
         if plan is None:
             raise MissingRepairPlan(
                 f"no repair plan recorded for type {node_type} node {j}"
             )
-        helpers = [int(h) for h in plan]
+        helpers = tuple(int(h) for h in plan)
         helper_type = opposite_type(node_type)
         helper_code = config.code_for(helper_type)
         if len(helpers) != k or len(set(helpers)) != k or any(
@@ -219,40 +200,16 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
                 f"repair plan for type {node_type} node {j} must name k={k} "
                 f"distinct type {helper_type} helpers, got {plan}"
             )
-        nodes.append((node_type, config.code_for(node_type).encoding_vector(j),
-                      helpers))
-        positions[node_type].append(j)
+        nodes.append((node_type, j, helpers))
         helpers_span = helpers_span and helper_code.spans(helpers)
 
     own, other = layout.protected_type, opposite_type(layout.protected_type)
-    pivots = config.code_for(own).pivots(positions[own])
+    pivots = config.code_for(own).pivots(j for t, j, _ in nodes if t == own)
     column_ranks = (len(pivots), sum(1 for c in pivots if c < layout.budget),
-                    len(config.code_for(other).pivots(positions[other])))
-    return Observation(random_cols=layout.random_cols,
-                       payload_cols=layout.payload_cols, k=k, protected_type=own,
-                       helpers_span=helpers_span, column_ranks=column_ranks,
-                       assemble=partial(_assemble, config, nodes, layout))
-
-
-def _assemble(config, nodes, layout):
-    """Observation matrix and observed values of the nodes observe() recorded."""
-    k, field = config.k, config.field
-    p = field.p
-
-    def helper_vectors(node_type, helpers):
-        generator = config.code_for(opposite_type(node_type)).generator
-        return generator.array[:, [h - 1 for h in helpers]].T
-
-    blocks = [_storage_rows(k, t, g, p) if helpers is None
-              else _repair_rows(k, t, g, helper_vectors(t, helpers), p)
-              for t, g, helpers in nodes]
-    if blocks:
-        m = np.vstack(blocks)
-    else:
-        m = np.zeros((0, k * k), dtype=np.int64)
-    matrix = FieldMatrix(m, field)
-    values = matrix @ layout.source_vector() if m.shape[0] else np.zeros(0, np.int64)
-    return matrix, values
+                    len(config.code_for(other).pivots(
+                        j for t, j, _ in nodes if t == other)))
+    return Observation(config=config, layout=layout, nodes=tuple(nodes),
+                       helpers_span=helpers_span, column_ranks=column_ranks)
 
 
 def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
@@ -270,14 +227,12 @@ def independent_symbol_count(obs: Observation) -> int:
         rank(M) = k(u1 + u2) - u1*u2.
 
     Same precondition and fallback as `leakage`: where an observed
-    repair's helpers do not span F^k, or the Observation lacks the
-    recorded node structure, this returns obs.matrix.rank().
+    repair's helpers do not span F^k, this returns obs.matrix.rank().
     """
-    ranks = obs._closed_form_ranks
-    if ranks is None:
+    if not obs.helpers_span:
         return obs.matrix.rank()
-    u, _, v = ranks
-    return obs.k * (u + v) - u * v
+    u, _, v = obs.column_ranks
+    return obs.config.k * (u + v) - u * v
 
 
 def leakage(obs: Observation) -> int:
@@ -301,15 +256,12 @@ def leakage(obs: Observation) -> int:
 
     Precondition: every observed repair's helper columns span F^k (the MDS
     property).  observe() checks that for each helper set; where it fails,
-    or for an Observation that lacks the recorded node structure, this
-    returns leakage_by_elimination(obs), so the two never disagree.
+    this returns leakage_by_elimination(obs), so the two never disagree.
     """
-    ranks = obs._closed_form_ranks
-    if ranks is None:
+    if not obs.helpers_span:
         return leakage_by_elimination(obs)
-    u, u_low, v = ranks
-    k = obs.k
-    l = len(obs.random_cols) // k
+    u, u_low, v = obs.column_ranks
+    k, l = obs.config.k, obs.layout.budget
     return (k - v) * (u - u_low) + v * (k - l)
 
 
@@ -321,8 +273,9 @@ def leakage_by_elimination(obs: Observation) -> int:
     """
     if obs.matrix.rows == 0:
         return 0
-    n_random = len(obs.random_cols)
-    perm = list(obs.random_cols) + list(obs.payload_cols)
+    layout = obs.layout
+    n_random = len(layout.random_cols)
+    perm = list(layout.random_cols) + list(layout.payload_cols)
     arr = obs.matrix.array[:, perm]
     pivots = _pivot_columns(arr, obs.matrix.field.p)
     return sum(1 for c in pivots if c >= n_random)
@@ -340,7 +293,7 @@ def revealed_symbols(obs: Observation) -> set:
     """
     rref = obs.matrix.rref().array
     unit_rows = rref[np.count_nonzero(rref, axis=1) == 1]
-    return {obs.label(int(c)) for c in np.nonzero(unit_rows)[1]}
+    return {obs.layout.label(int(c)) for c in np.nonzero(unit_rows)[1]}
 
 
 def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:
@@ -358,7 +311,7 @@ def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:
             f"{q}^{ncols} = {n_states} source vectors exceed the "
             f"limit of {max_states}"
         )
-    payload_cols = np.asarray(obs.payload_cols, dtype=np.intp)
+    payload_cols = np.asarray(obs.layout.payload_cols, dtype=np.intp)
     n_pay = payload_cols.size
     rows = obs.matrix.rows
 

@@ -267,19 +267,9 @@ def vstack(mats) -> FieldMatrix:
 # ----------------------------------------------------------------------
 # Operation-style entry points.
 
-def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Exact matrix product over the common field."""
-    return a @ b
-
-
 def rank(m: FieldMatrix) -> int:
     """Rank over F_p via Gaussian elimination."""
     return m.rank()
-
-
-def solve_square(a: FieldMatrix, y) -> np.ndarray:
-    """Solve a @ x = y for square nonsingular a; raises SingularMatrix."""
-    return a.solve(y)
 
 
 def in_row_space(m: FieldMatrix, v) -> bool:

@@ -84,18 +84,12 @@ class SecureLayout:
         """Label for source coordinate `coord` (0-based): r/a plus 1-based index."""
         if not 0 <= coord < self.k * self.k:
             raise ValueError(f"coordinate {coord} outside [0, {self.k * self.k})")
-        return source_label(coord, self.random_cols)
+        return f"r{coord + 1}" if coord in self.random_cols else f"a{coord + 1}"
 
     def to_json_dict(self) -> dict:
         return {"q": self.field.p, "k": self.k, "l1": self.l1, "l2": self.l2,
                 "seed": self.seed, "protected_type": self.protected_type,
                 "payload": self.payload.tolist()}
-
-
-def source_label(coord: int, random_cols) -> str:
-    """r (random) or a (payload) plus the 1-based index of source coordinate
-    `coord` (0-based), given the random coordinates."""
-    return f"r{coord + 1}" if coord in random_cols else f"a{coord + 1}"
 
 
 def make_secure_layout(payload, l1: int, l2: int, k: int, field: PrimeField,

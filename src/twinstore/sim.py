@@ -1,6 +1,6 @@
 """Deterministic scenario engine over a twin-type storage system.
 
-A scenario is a config + secure layout + seed + ordered events
+A scenario is a config + secure layout + ordered events
 (fail / repair / reconstruct / eavesdrop / deploy).  Runs are pure
 functions of the scenario: the same input yields a byte-identical
 JSON-lines log.
@@ -99,7 +99,6 @@ class Deploy:
 class Scenario:
     config: TwinConfig
     layout: SecureLayout
-    seed: int
     events: tuple
 
 
@@ -170,15 +169,14 @@ def parse_event(config: TwinConfig, doc: dict):
 
 def scenario_from_json(doc: dict) -> Scenario:
     """Parse and pre-validate a scenario document: {"config", "layout",
-    "seed", "events"}, see twinstore.loader for the first two."""
+    "events"}, see twinstore.loader for the first two."""
     try:
         doc = loader.as_object(doc, "scenario")
         config = loader.config(doc.get("config", {}))
         layout = loader.layout(doc.get("layout", {}), config)
         events = tuple(parse_event(config, e)
                        for e in loader.as_list(doc.get("events", []), "events"))
-        scenario = Scenario(config=config, layout=layout, events=events,
-                            seed=loader.integer(doc.get("seed", 0), "seed"))
+        scenario = Scenario(config=config, layout=layout, events=events)
     except MalformedScenario:
         raise
     except TwinstoreError as exc:

@@ -389,3 +389,18 @@ class TestExitCodes:
     def test_valid_input_the_math_refuses_exits_1(self, capsys, argv, error):
         assert main(argv) == 1
         assert one_error_line(capsys.readouterr().err).startswith(f"error: {error}:")
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["bounds", "--kind", "fig5", "--k-max", "4"], None),
+        (["scenario"], demo_scenario_doc()),
+        (["encode"], [1, 2, 3]),
+        (["eavesdrop"], {"e1": [[1, 1]]}),
+    ], ids=["bounds", "scenario", "encode", "eavesdrop"])
+    @pytest.mark.parametrize("out", ["a-directory", "missing-parent"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv, doc, out):
+        target = tmp_path if out == "a-directory" else tmp_path / "missing" / "x"
+        if doc is not None:
+            argv = [*argv, "--in", write_json(tmp_path / "in.json", doc)]
+        assert main([*argv, "--out", str(target)]) == 2
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: cannot write {target}: ")

@@ -11,7 +11,6 @@ from twinstore import (
     EavesdropperSpec,
     FieldMatrix,
     MdsCode,
-    Observation,
     PrimeField,
     TwinConfig,
     brute_force_mi,
@@ -116,7 +115,8 @@ class TestObserve:
     def test_records_node_structure(self, demo_system, demo_layout):
         spec = EavesdropperSpec.of([(2, 1)], [(1, 3)])
         obs = observe(demo_system, demo_layout, spec, {(1, 3): (2, 3, 4, 5)})
-        assert obs.protected_type == demo_layout.protected_type
+        assert obs.layout is demo_layout
+        assert obs.nodes == ((2, 1, None), (1, 3, (2, 3, 4, 5)))
         assert obs.helpers_span
 
 
@@ -192,16 +192,6 @@ class TestLazyAssembly:
         assert digest.hexdigest() == (
             "07409cf546d65acdb9cbaf41457a0a546f6fc2ee35cc947755fee58a866e3f8d")
 
-    def test_hand_built_observation_keeps_its_matrix(self, cross_type_obs):
-        bare = Observation(matrix=cross_type_obs.matrix,
-                           values=cross_type_obs.values,
-                           random_cols=cross_type_obs.random_cols,
-                           payload_cols=cross_type_obs.payload_cols,
-                           k=cross_type_obs.k)
-        assert bare.matrix is cross_type_obs.matrix
-        assert bare.values is cross_type_obs.values
-        assert bare.column_ranks is None and bare.assemble is None
-
 
 class TestLeakage:
     def test_demo_values(self, demo_system, demo_layout, cross_type_obs):
@@ -222,7 +212,7 @@ class TestLeakage:
             picks = rng.permutation(len(nodes))[: int(rng.integers(0, 4))]
             spec = EavesdropperSpec.of([nodes[i] for i in picks], [])
             obs = observe(demo_system, demo_layout, spec, {})
-            restricted = obs.matrix.take_columns(obs.random_cols)
+            restricted = obs.matrix.take_columns(obs.layout.random_cols)
             assert leakage(obs) == obs.matrix.rank() - restricted.rank()
 
     def test_monotone_in_nodes(self, demo_system, demo_layout):
@@ -256,10 +246,10 @@ def _random_spec(rng, config, size):
 def revealed_by_row_space(obs):
     """Reference revealed set: e_i lies in the row space of M iff appending
     it as a row leaves rank(M) unchanged, one coordinate at a time."""
-    n = obs.k * obs.k
+    n = obs.config.k ** 2
     rank = obs.matrix.rank()
     units = np.eye(n, dtype=np.int64)
-    return {obs.label(i) for i in range(n)
+    return {obs.layout.label(i) for i in range(n)
             if vstack([obs.matrix, FieldMatrix(units[i:i + 1], obs.matrix.field)]
                       ).rank() == rank}
 
@@ -327,11 +317,8 @@ class TestClosedFormLeakage:
         assert independent_symbol_count(unguarded) == 3
 
     def test_observation_without_structure_uses_elimination(self, cross_type_obs):
-        bare = Observation(matrix=cross_type_obs.matrix,
-                           values=cross_type_obs.values,
-                           random_cols=cross_type_obs.random_cols,
-                           payload_cols=cross_type_obs.payload_cols,
-                           k=cross_type_obs.k)
+        # without the helper-span flag the closed forms do not apply
+        bare = dataclasses.replace(cross_type_obs, helpers_span=False)
         assert leakage(bare) == leakage(cross_type_obs) == 2
         assert (independent_symbol_count(bare)
                 == independent_symbol_count(cross_type_obs) == 7)
@@ -356,7 +343,7 @@ class TestClosedFormLeakage:
         obs = observe(system, layout, spec, {(2, 2): (1, 3, 4, 5)})
         # at observe time: the helper set, then one pass over the
         # protected-type and one over the other-type columns
-        k = obs.k
+        k = obs.config.k
         assert shapes == [(k, k), (1, k), (2, k)]
         assert (leakage(obs), independent_symbol_count(obs)) == (4, 10)
         assert independent_symbol_count(obs) == 10
@@ -407,11 +394,10 @@ class TestIndependentSymbolCount:
 
 
 class TestRevealedSymbols:
-    def test_zero_row_observation_reveals_nothing(self, cross_type_obs):
-        empty = Observation(matrix=FieldMatrix.zeros(0, 16, PrimeField(11)),
-                            values=np.zeros(0, dtype=np.int64),
-                            random_cols=cross_type_obs.random_cols,
-                            payload_cols=cross_type_obs.payload_cols, k=4)
+    def test_zero_row_observation_reveals_nothing(self, demo_system,
+                                                  demo_layout):
+        empty = observe(demo_system, demo_layout, EavesdropperSpec.of(), {})
+        assert empty.matrix.rows == 0
         assert revealed_symbols(empty) == revealed_by_row_space(empty) == set()
 
     def test_protected_type_2_labels_follow_transposed_band(self, demo_config):

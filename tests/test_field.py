@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twinstore import FieldMatrix, PrimeField, in_row_space, mat_mul, rank, solve_square
+from twinstore import FieldMatrix, PrimeField, in_row_space, rank
 from twinstore.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -70,12 +72,11 @@ class TestMatMul:
 
     def test_dimension_mismatch(self, f11):
         with pytest.raises(DimensionMismatch):
-            mat_mul(FieldMatrix.zeros(2, 3, f11), FieldMatrix.zeros(2, 3, f11))
+            FieldMatrix.zeros(2, 3, f11) @ FieldMatrix.zeros(2, 3, f11)
 
     def test_field_mismatch(self, f11):
         with pytest.raises(FieldMismatch):
-            mat_mul(FieldMatrix.zeros(2, 3, f11),
-                    FieldMatrix.zeros(3, 2, PrimeField(7)))
+            FieldMatrix.zeros(2, 3, f11) @ FieldMatrix.zeros(3, 2, PrimeField(7))
 
     def test_associative_random_triples(self):
         rng = np.random.default_rng(2)
@@ -123,15 +124,15 @@ class TestRank:
 class TestSolve:
     def test_identity(self, f11):
         y = np.array([3, 7, 9])
-        assert np.array_equal(solve_square(FieldMatrix.identity(3, f11), y), y)
+        assert np.array_equal(FieldMatrix.identity(3, f11).solve(y), y)
 
     def test_back_substitution_by_hand(self, f11):
         a = FieldMatrix([[1, 0], [1, 1]], f11)
-        assert np.array_equal(solve_square(a, [3, 5]), [3, 2])
+        assert np.array_equal(a.solve([3, 5]), [3, 2])
 
     def test_singular_raises(self, f11):
         with pytest.raises(SingularMatrix):
-            solve_square(FieldMatrix([[1, 2], [2, 4]], f11), [1, 0])
+            FieldMatrix([[1, 2], [2, 4]], f11).solve([1, 0])
 
     def test_roundtrip_random(self):
         # 1000 trials split over the standard prime set
@@ -143,6 +144,80 @@ class TestSolve:
                 a = random_nonsingular(rng, n, p)
                 x = field.uniform(rng, n)
                 assert np.array_equal(a.solve(a @ x), x)
+
+
+# Properties at the largest supported prime, against Python-int arithmetic.
+# There a partial dot product holds only two terms before it must be
+# reduced, so any inner dimension of 3 or more takes the chunked path.
+P31 = 2**31 - 1
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
+                    database=None)
+residues = st.integers(0, P31 - 1) | st.sampled_from([0, 1, P31 - 2, P31 - 1])
+
+
+def int_matrix(rows, cols):
+    return st.lists(st.lists(residues, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def int_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) % P31 for col in zip(*b)]
+            for row in a]
+
+
+def int_solve(a, y):
+    """Gauss-Jordan over Python ints mod P31; None if a is singular."""
+    n = len(a)
+    m = [list(row) + [v] for row, v in zip(a, y)]
+    for c in range(n):
+        r = next((i for i in range(c, n) if m[i][c]), None)
+        if r is None:
+            return None
+        m[c], m[r] = m[r], m[c]
+        inv = pow(m[c][c], -1, P31)
+        m[c] = [v * inv % P31 for v in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [(v - f * w) % P31 for v, w in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
+@st.composite
+def matmul_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)), draw(st.integers(3, 9)),
+                         draw(st.integers(1, 4)))
+    return draw(int_matrix(rows, inner)), draw(int_matrix(inner, cols))
+
+
+@st.composite
+def linear_systems(draw):
+    n = draw(st.integers(1, 6))
+    return draw(int_matrix(n, n)), draw(st.lists(residues, min_size=n,
+                                                 max_size=n))
+
+
+class TestLargePrimeProperties:
+    @PROPERTY
+    @given(matmul_operands())
+    def test_matmul_matches_python_ints(self, operands):
+        a, b = operands
+        field = PrimeField(P31)
+        product = FieldMatrix(a, field) @ FieldMatrix(b, field)
+        assert product.tolist() == int_matmul(a, b)
+        column = [row[0] for row in b]
+        assert (FieldMatrix(a, field) @ column).tolist() == [
+            row[0] for row in int_matmul(a, b)]
+
+    @PROPERTY
+    @given(linear_systems())
+    def test_solve_matches_python_ints(self, system):
+        a, x = system
+        y = [row[0] for row in int_matmul(a, [[v] for v in x])]
+        want = int_solve(a, y)
+        assume(want is not None)  # nonsingular: x is the only solution
+        assert want == x
+        assert FieldMatrix(a, PrimeField(P31)).solve(y).tolist() == x
 
 
 class TestRowSpace:

@@ -31,7 +31,6 @@ def demo_scenario_doc(events=(), l1=2, l2=0, payload=None, seed=7):
         "config": {"q": 11, "n1": 5, "n2": 6, "k": 4, "style": "explicit",
                    "generator1": g1, "generator2": g2},
         "layout": {"l1": l1, "l2": l2, "seed": seed, "payload": payload},
-        "seed": 0,
         "events": list(events),
     }
 
@@ -139,6 +138,14 @@ class TestParsing:
         doc = demo_scenario_doc()
         doc["layout"]["protected_type"] = 2
         assert scenario_from_json(doc).layout.protected_type == 2
+
+    def test_top_level_seed_is_ignored(self):
+        # the layout's own seed draws the random symbols; a top-level
+        # "seed" is an unknown key like any other
+        doc = demo_scenario_doc([{"op": "eavesdrop", "e1": [[1, 1], [2, 2]]}])
+        log = run(scenario_from_json(doc)).to_jsonl()
+        for seed in (5, "x"):
+            assert run(scenario_from_json({**doc, "seed": seed})).to_jsonl() == log
 
     def test_deploy_seed_validation(self):
         for bad in ([1, 2, 3], [1, 1, 2, 3], [1, 2, 3, 6]):
