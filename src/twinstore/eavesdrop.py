@@ -89,7 +89,7 @@ class EavesdropperSpec:
                 "e2": [list(x) for x in self.e2]}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """What observe() recorded of one eavesdropper spec.
 

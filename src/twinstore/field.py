@@ -224,19 +224,24 @@ class FieldMatrix:
         return FieldMatrix(m, self.field)
 
     def solve(self, y) -> np.ndarray:
-        """Solve self @ x = y for a square nonsingular matrix."""
+        """Solve self @ x = y for a square nonsingular matrix.
+
+        y is a length-n vector or an n x m matrix of m right-hand sides;
+        x has y's shape.  One elimination of [self | y] serves every
+        column, so a matrix y costs one solve, not m.
+        """
         if self.rows != self.cols:
             raise DimensionMismatch("solve requires a square matrix")
         rhs = self.field.reduce(y)
-        if rhs.ndim != 1 or rhs.shape[0] != self.rows:
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.rows:
             raise DimensionMismatch(
                 f"right-hand side length {rhs.shape} does not match {self.rows}"
             )
-        aug = np.hstack([self.array, rhs[:, None]])
+        aug = np.column_stack([self.array, rhs])
         red, piv = _row_reduce(aug, self.field.p, reduced=True)
         if len(piv) != self.rows or any(c >= self.cols for c in piv):
             raise SingularMatrix("matrix is singular over F_p")
-        return red[:, -1].copy()
+        return red[:, self.cols:].reshape(rhs.shape).copy()
 
     def tolist(self):
         return self.array.tolist()

@@ -43,7 +43,7 @@ def opposite_type(node_type: int) -> int:
     return 3 - node_type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodingVector:
     """Column of a generator matrix, owned by one storage node."""
 
@@ -184,7 +184,7 @@ def build_message_matrix(payload, k: int, field: PrimeField) -> MessageMatrix:
                          pad=pad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeContent:
     """Stored symbols of one node; symbols is None while the node is empty."""
 
@@ -328,8 +328,9 @@ def fail_node(system: TwinSystem, node_type: int, index: int) -> TwinSystem:
 def reconstruct(system: TwinSystem, node_type: int, indices) -> MessageMatrix:
     """Recover the message matrix from k live same-type nodes.
 
-    Downloads k symbols from each of the k nodes (k^2 total): row t of the
-    type's spread matrix is erasure-decoded from its k observed coordinates.
+    Downloads k symbols from each of the k nodes (k^2 total).  Row t of
+    the type's spread matrix is a codeword observed at the k positions,
+    so the whole matrix is one k x k solve with k right-hand sides.
     """
     opposite_type(node_type)  # validates node_type
     idx = [int(j) for j in indices]
@@ -343,11 +344,12 @@ def reconstruct(system: TwinSystem, node_type: int, indices) -> MessageMatrix:
         if not system.is_live(node_type, j) or system.node(node_type, j).is_empty:
             raise DeadNode(f"type {node_type} node {j} holds no data")
     code = system.config.code_for(node_type)
-    k = system.config.k
-    observed = np.stack([system.node(node_type, j).symbols for j in idx], axis=1)
-    rows = [mds.erasure_decode(code, idx, observed[t]) for t in range(k)]
-    a_i = FieldMatrix(np.stack(rows), system.config.field)
-    return MessageMatrix(a1=a_i if node_type == 1 else a_i.T)
+    # row i: coordinate idx[i] of the k codewords spread from the rows of
+    # A (type 1) or A^T (type 2); decoded column t is row t of that matrix
+    stored = np.stack([system.node(node_type, j).symbols for j in idx])
+    decoded = FieldMatrix(mds.erasure_decode(code, idx, stored),
+                          system.config.field)
+    return MessageMatrix(a1=decoded.T if node_type == 1 else decoded)
 
 
 def helper_share(helper: NodeContent, target: EncodingVector) -> int:

@@ -224,8 +224,12 @@ def encode_row(code: MdsCode, message) -> np.ndarray:
 def erasure_decode(code: MdsCode, positions, symbols) -> np.ndarray:
     """Recover the message from k codeword coordinates (1-based positions).
 
-    Unique by the MDS property; SingularSubmatrix signals a corrupted
-    code object rather than a decodable failure mode.
+    symbols is a length-k vector, or a k x m matrix whose row i holds the
+    coordinate at positions[i] of m codewords; the result is the message
+    of each column, shaped like symbols.  Every column is decoded by one
+    solve of the k x k system.  Unique by the MDS property;
+    SingularSubmatrix signals a corrupted code object rather than a
+    decodable failure mode.
     """
     pos = [int(j) for j in positions]
     if len(pos) != code.k:
@@ -235,7 +239,7 @@ def erasure_decode(code: MdsCode, positions, symbols) -> np.ndarray:
     if any(not 1 <= j <= code.n for j in pos):
         raise DimensionMismatch(f"positions must lie in [1, {code.n}]: {pos}")
     syms = code.field.reduce(symbols)
-    if syms.ndim != 1 or syms.shape[0] != code.k:
+    if syms.ndim not in (1, 2) or syms.shape[0] != code.k:
         raise DimensionMismatch(f"need exactly k={code.k} symbols")
     sub = code.generator.take_columns([j - 1 for j in pos])
     try:

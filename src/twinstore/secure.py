@@ -45,7 +45,7 @@ def secure_capacity_twin(k: int, l1: int, l2: int) -> int:
     return k * (k - l1 - l2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecureLayout:
     """Message matrix with a random band oriented toward one node type."""
 

@@ -32,6 +32,7 @@ from twinstore.errors import (
     MissingRepairPlan,
 )
 from twinstore import eavesdrop, mds
+from twinstore.demo import build_demo_layout
 from twinstore.field import _pivot_columns, vstack
 
 from conftest import build_config
@@ -82,6 +83,13 @@ class TestObserve:
                               EavesdropperSpec.of([(t, j)], []), {})
                 assert np.array_equal(obs.matrix @ f,
                                       demo_system.node(t, j).symbols)
+
+    def test_equality_is_identity_and_hash_works(self, cross_type_obs,
+                                                 demo_system):
+        again = observe(demo_system, build_demo_layout(seed=7),
+                        EavesdropperSpec.of([(1, 1), (2, 2)], []), {})
+        assert cross_type_obs == cross_type_obs != again
+        assert {cross_type_obs: 1}[cross_type_obs] == 1
 
     def test_empty_spec(self, demo_system, demo_layout):
         obs = observe(demo_system, demo_layout, EavesdropperSpec.of(), {})

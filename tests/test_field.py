@@ -134,6 +134,32 @@ class TestSolve:
         with pytest.raises(SingularMatrix):
             FieldMatrix([[1, 2], [2, 4]], f11).solve([1, 0])
 
+    def test_singular_raises_for_matrix_rhs(self, f11):
+        singular = FieldMatrix([[1, 2], [2, 4]], f11)
+        # inconsistent and consistent right-hand sides alike
+        for y in ([[1, 0], [0, 1]], [[1], [2]]):
+            with pytest.raises(SingularMatrix) as exc:
+                singular.solve(y)
+            assert str(exc.value) == "matrix is singular over F_p"
+
+    def test_matrix_rhs_by_hand(self, f11):
+        a = FieldMatrix([[1, 0], [1, 1]], f11)
+        x = a.solve([[3, 1], [5, 0]])
+        assert x.tolist() == [[3, 1], [2, 10]]
+
+    def test_rhs_shape_errors(self, f11):
+        eye = FieldMatrix.identity(3, f11)
+        for y, shape in ((np.zeros((2, 3)), "(2, 3)"),
+                         (np.zeros((3, 1, 1)), "(3, 1, 1)"),
+                         ([1, 2], "(2,)"), (5, "()")):
+            with pytest.raises(DimensionMismatch) as exc:
+                eye.solve(y)
+            assert str(exc.value) == (f"right-hand side length {shape} "
+                                      f"does not match 3")
+        with pytest.raises(DimensionMismatch) as exc:
+            FieldMatrix([[1, 2, 3]], f11).solve([[1]])
+        assert str(exc.value) == "solve requires a square matrix"
+
     def test_roundtrip_random(self):
         # 1000 trials split over the standard prime set
         rng = np.random.default_rng(5)
@@ -165,8 +191,8 @@ def int_matmul(a, b):
             for row in a]
 
 
-def int_solve(a, y):
-    """Gauss-Jordan over Python ints mod P31; None if a is singular."""
+def int_solve(a, y, p=P31):
+    """Gauss-Jordan over Python ints mod p; None if a is singular."""
     n = len(a)
     m = [list(row) + [v] for row, v in zip(a, y)]
     for c in range(n):
@@ -174,12 +200,12 @@ def int_solve(a, y):
         if r is None:
             return None
         m[c], m[r] = m[r], m[c]
-        inv = pow(m[c][c], -1, P31)
-        m[c] = [v * inv % P31 for v in m[c]]
+        inv = pow(m[c][c], -1, p)
+        m[c] = [v * inv % p for v in m[c]]
         for i in range(n):
             if i != c and m[i][c]:
                 f = m[i][c]
-                m[i] = [(v - f * w) % P31 for v, w in zip(m[i], m[c])]
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[c])]
     return [row[n] for row in m]
 
 
@@ -195,6 +221,19 @@ def linear_systems(draw):
     n = draw(st.integers(1, 6))
     return draw(int_matrix(n, n)), draw(st.lists(residues, min_size=n,
                                                  max_size=n))
+
+
+@st.composite
+def multi_rhs_systems(draw):
+    """(p, n x n matrix, n x m right-hand side) with m in 1..4."""
+    p = draw(st.sampled_from([11, 101, P31]))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    entries = st.integers(0, p - 1) | st.sampled_from([0, 1, p - 1])
+
+    def grid(rows, cols):
+        return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+    return p, draw(grid(n, n)), draw(grid(n, m))
 
 
 class TestLargePrimeProperties:
@@ -218,6 +257,22 @@ class TestLargePrimeProperties:
         assume(want is not None)  # nonsingular: x is the only solution
         assert want == x
         assert FieldMatrix(a, PrimeField(P31)).solve(y).tolist() == x
+
+    @PROPERTY
+    @given(multi_rhs_systems())
+    def test_matrix_rhs_solves_each_column(self, system):
+        p, a, y = system
+        mat = FieldMatrix(a, PrimeField(p))
+        columns = [list(col) for col in zip(*y)]
+        want = [int_solve(a, col, p) for col in columns]
+        if want[0] is None:
+            with pytest.raises(SingularMatrix):
+                mat.solve(y)
+            return
+        x = mat.solve(y)
+        assert x.shape == (len(a), len(columns))
+        assert [list(col) for col in zip(*x.tolist())] == want
+        assert want == [mat.solve(col).tolist() for col in columns]
 
 
 class TestRowSpace:

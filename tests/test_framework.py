@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinstore import (
     FieldMatrix,
@@ -13,6 +15,7 @@ from twinstore import (
     build_message_matrix,
     deploy,
     encode_system,
+    erasure_decode,
     fail_node,
     helper_share,
     reconstruct,
@@ -30,6 +33,7 @@ from twinstore.errors import (
     SameTypeHelper,
     UnverifiedCode,
 )
+from twinstore import mds
 
 from conftest import build_config
 
@@ -107,6 +111,33 @@ class TestEncodeSystem:
         assert not caught
 
 
+def per_row_reconstruct(system, node_type, idx):
+    """Reference: decode row t of the type's spread matrix, one k-symbol
+    erasure decode per row, and orient the result as A."""
+    code = system.config.code_for(node_type)
+    observed = np.stack([system.node(node_type, j).symbols for j in idx], axis=1)
+    rows = np.stack([erasure_decode(code, idx, observed[t])
+                     for t in range(system.config.k)])
+    return rows if node_type == 1 else rows.T
+
+
+@st.composite
+def reconstructions(draw):
+    """(system, message, node type, k distinct nodes) at p in {11, 101, 2^31 - 1}."""
+    field = PrimeField(draw(st.sampled_from([11, 101, 2**31 - 1])))
+    k = draw(st.integers(1, 5))
+    n1, n2 = draw(st.integers(k, 9)), draw(st.integers(k, 9))
+    config = build_config(field, n1, n2, k,
+                          style=draw(st.sampled_from(["vandermonde", "systematic"])))
+    payload = draw(st.lists(st.integers(0, field.p - 1), min_size=k * k,
+                            max_size=k * k))
+    msg = build_message_matrix(payload, k, field)
+    node_type = draw(st.integers(1, 2))
+    idx = draw(st.lists(st.integers(1, config.node_count(node_type)),
+                        min_size=k, max_size=k, unique=True))
+    return encode_system(config, msg), msg, node_type, idx
+
+
 class TestReconstruct:
     def test_demo_type2_first_four(self, demo_layout, demo_system):
         rec = reconstruct(demo_system, 2, [1, 2, 3, 4])
@@ -138,6 +169,26 @@ class TestReconstruct:
             assert reconstruct(system, t, idx).a1 == msg.a1
             trials += 1
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(reconstructions())
+    def test_matches_per_row_decoding(self, case):
+        system, msg, node_type, idx = case
+        rec = reconstruct(system, node_type, idx)
+        assert np.array_equal(rec.a1.array,
+                              per_row_reconstruct(system, node_type, idx))
+        assert rec.a1 == msg.a1
+
+    def test_one_decode_per_reconstruct(self, demo_system, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return erasure_decode(*args)
+        monkeypatch.setattr(mds, "erasure_decode", counting)
+        for t, idx in ((1, [1, 2, 3, 4]), (2, [6, 1, 4, 3]), (1, [5, 3, 2, 4])):
+            reconstruct(demo_system, t, idx)
+        assert len(calls) == 3
+
     def test_errors(self, demo_system):
         with pytest.raises(NotEnoughLiveNodes):
             reconstruct(demo_system, 1, [1, 2, 3])
@@ -146,6 +197,22 @@ class TestReconstruct:
         failed = fail_node(demo_system, 2, 2)
         with pytest.raises(DeadNode):
             reconstruct(failed, 2, [1, 2, 3, 4])
+
+
+class TestValueEquality:
+    """Array-holding records compare by value and refuse to hash."""
+
+    def test_encoding_vector(self, demo_config):
+        vector = demo_config.encoding_vector(1, 2)
+        assert vector == demo_config.encoding_vector(1, 2)
+        with pytest.raises(TypeError, match="unhashable type: 'EncodingVector'"):
+            hash(vector)
+
+    def test_node_content(self, demo_config, demo_layout, demo_system):
+        node = encode_system(demo_config, demo_layout.matrix).node(2, 3)
+        assert node == demo_system.node(2, 3) != fail_node(demo_system, 2, 3).node(2, 3)
+        with pytest.raises(TypeError, match="unhashable type: 'NodeContent'"):
+            hash(node)
 
 
 class TestHelperShare:

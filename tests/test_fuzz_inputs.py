@@ -6,8 +6,8 @@ TwinstoreError.
 Each example is a valid document for a small system (q <= 13, n <= 7)
 that, more often than not, has one value swapped for arbitrary JSON or
 dropped, so the checks deep inside a document are reached too.  Flags
-are drawn the same way.  The examples are derandomized, so the suite is
-deterministic.
+are drawn the same way; the `bounds` series flags take any integer in
+-5..60.  The examples are derandomized, so the suite is deterministic.
 """
 
 import contextlib
@@ -158,6 +158,10 @@ def run_cli(workdir, argv, doc):
     path.write_text(json.dumps(doc))
     argv = ([*argv, str(path)] if argv[0] == "demo"
             else [*argv, "--in", str(path), "--out", str(workdir / "out")])
+    return run_main(argv)
+
+
+def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -188,6 +192,16 @@ def test_encode(workdir, inputs, bare_list):
 def test_eavesdrop_spec(workdir, inputs):
     flags, doc = inputs
     run_cli(workdir, ["eavesdrop", *flags], doc)
+
+
+@FUZZ
+@given(kind=st.sampled_from(["fig5", "fig8", "fig9"]),
+       flags=st.dictionaries(st.sampled_from(["--k", "--k-max", "--l1"]),
+                             st.integers(-5, 60)))
+def test_bounds(workdir, kind, flags):
+    # --k-max stays small: the fig5 series does work in proportion to it
+    run_main(["bounds", "--kind", kind, "--out", str(workdir / "out.csv"),
+              *(str(x) for pair in flags.items() for x in pair)])
 
 
 @FUZZ

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinstore import (
     FieldMatrix,
@@ -22,6 +24,7 @@ from twinstore.errors import (
     DimensionMismatch,
     DuplicatePoints,
     NotMds,
+    SingularSubmatrix,
     TooFewPoints,
     UnverifiedCode,
 )
@@ -246,6 +249,51 @@ class TestErasureDecode:
             erasure_decode(code, [1, 1, 2], [1, 1, 1])
         with pytest.raises(DimensionMismatch):
             erasure_decode(code, [1, 2], [1, 1])
+
+    def test_symbol_shape_errors(self, f11):
+        code = make_vandermonde(5, 3, f11)
+        for syms in ([1, 1], np.ones((2, 3)), np.ones((4, 2)),
+                     np.ones((3, 1, 1)), 1):
+            with pytest.raises(DimensionMismatch) as exc:
+                erasure_decode(code, [1, 2, 3], syms)
+            assert str(exc.value) == "need exactly k=3 symbols"
+
+    def test_dependent_columns_keep_their_message(self):
+        code = non_mds_f11_code()
+        for syms in ([1, 2, 3], [[1, 0], [2, 0], [3, 0]]):
+            with pytest.raises(SingularSubmatrix) as exc:
+                erasure_decode(code, [1, 2, 3], syms)
+            assert str(exc.value) == ("columns [1, 2, 3] are dependent; "
+                                      "code object is corrupted")
+
+
+@st.composite
+def multi_codeword_decodes(draw):
+    """(code, positions, k x m message matrix) at p in {11, 101, 2^31 - 1}."""
+    p = draw(st.sampled_from([11, 101, 2**31 - 1]))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 9))
+    maker = draw(st.sampled_from([make_vandermonde, make_systematic]))
+    positions = draw(st.lists(st.integers(1, n), min_size=k, max_size=k,
+                              unique=True))
+    m = draw(st.integers(1, 4))
+    messages = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m,
+                                      max_size=m), min_size=k, max_size=k))
+    return maker(n, k, PrimeField(p)), positions, np.array(messages)
+
+
+class TestMultiCodewordDecode:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(multi_codeword_decodes())
+    def test_matches_one_decode_per_codeword(self, case):
+        code, pos, messages = case
+        words = (FieldMatrix(messages.T, code.field) @ code.generator).array
+        syms = words[:, [j - 1 for j in pos]].T  # row i: position pos[i]
+        got = erasure_decode(code, pos, syms)
+        per_word = [erasure_decode(code, pos, syms[:, c])
+                    for c in range(syms.shape[1])]
+        assert np.array_equal(got, np.stack(per_word, axis=1))
+        assert np.array_equal(got, messages)
 
 
 class TestJsonInterchange:

@@ -20,6 +20,7 @@ from twinstore import (
     secure_capacity_twin,
 )
 from twinstore import loader
+from twinstore.demo import build_demo_layout
 from twinstore.errors import BadPayloadLength, BudgetExceeded
 from twinstore.secure import SecureLayout
 
@@ -50,6 +51,10 @@ class TestLayout:
         assert np.array_equal(a[:, 3], payload[4:])
         assert layout.random_cols == tuple(range(8))
         assert layout.payload_cols == tuple(range(8, 16))
+
+    def test_equality_is_identity_and_hash_works(self, demo_layout):
+        assert demo_layout == demo_layout != build_demo_layout(seed=7)
+        assert {demo_layout: 1}[demo_layout] == 1
 
     def test_plain_layout_has_no_random_columns(self, f11):
         layout = make_secure_layout(list(range(1, 10)), 0, 0, 3, f11)
