@@ -71,12 +71,7 @@ from .secure import (
     secure_capacity_twin,
 )
 from .sim import (
-    Deploy,
-    Eavesdrop,
     EventLog,
-    Fail,
-    Reconstruct,
-    Repair,
     Scenario,
     SweepResult,
     load_scenario,

@@ -104,15 +104,11 @@ DEMO_REPAIR_RANK = 8
 DEMO_REPAIR_LEAKAGE = 4
 
 
-def label_coord(label: str, k: int = DEMO_K) -> int:
-    """Map a source label (r5, a10, ...) to its 0-based source coordinate."""
-    return int(label[1:]) - 1
-
-
 def functional_from_labels(symbol: dict, k: int = DEMO_K) -> np.ndarray:
+    """Row over the k*k source coordinates; label r5/a10 is coordinate 4/9."""
     row = np.zeros(k * k, dtype=np.int64)
     for label, coeff in symbol.items():
-        row[label_coord(label, k)] = coeff
+        row[int(label[1:]) - 1] = coeff
     return row
 
 

@@ -10,9 +10,9 @@ statement: with uniform independent randomness and payload,
 
 `leakage` and `independent_symbol_count` evaluate rank(M) and that rank
 gap in closed form from the ranks of the observed nodes' generator
-columns.  Those ranks, the helper-span check below and
-`secure.guaranteed_secure_set` all read one memo per code,
-`MdsCode.pivots`, keyed by the observed position set, so a sweep
+columns, `secure.column_ranks`, which `secure.guaranteed_secure_set`
+shares.  Those ranks and the helper-span check below read one memo per
+code, `MdsCode.pivots`, keyed by the observed position set, so a sweep
 eliminates once per distinct set of generator columns, not once per
 spec.  Type 1 nodes with column rank u1
 expose F^k (x) U1, Type 2 nodes with column rank u2 expose U2 (x) F^k,
@@ -57,7 +57,7 @@ from .errors import (
 )
 from .field import FieldMatrix, _pivot_columns
 from .framework import TwinConfig, TwinSystem, default_helpers, opposite_type
-from .secure import SecureLayout, guaranteed_secure_set
+from .secure import SecureLayout, column_ranks, guaranteed_secure_set
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,10 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     used for its observed repair; the functionals do not depend on when
     the repair happened, only on which helpers served it.  Every node and
     plan is validated here, before anything is assembled; a node outside
-    its code fails in `MdsCode.pivots`.  The column ranks (u, u', v) and
-    the helper-span check come from each code's memoized `MdsCode.pivots`,
-    so a sweep eliminates once per distinct position set rather than once
-    per spec.
+    its code fails in `MdsCode.pivots`.  The column ranks (u, u', v)
+    (`secure.column_ranks`) and the helper-span check come from each
+    code's memoized `MdsCode.pivots`, so a sweep eliminates once per
+    distinct position set rather than once per spec.
     """
     config = system.config
     k = config.k
@@ -203,13 +203,9 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
         nodes.append((node_type, j, helpers))
         helpers_span = helpers_span and helper_code.spans(helpers)
 
-    own, other = layout.protected_type, opposite_type(layout.protected_type)
-    pivots = config.code_for(own).pivots(j for t, j, _ in nodes if t == own)
-    column_ranks = (len(pivots), sum(1 for c in pivots if c < layout.budget),
-                    len(config.code_for(other).pivots(
-                        j for t, j, _ in nodes if t == other)))
+    ranks = column_ranks(config, layout, [(t, j) for t, j, _ in nodes])
     return Observation(config=config, layout=layout, nodes=tuple(nodes),
-                       helpers_span=helpers_span, column_ranks=column_ranks)
+                       helpers_span=helpers_span, column_ranks=ranks)
 
 
 def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
@@ -249,10 +245,8 @@ def leakage(obs: Observation) -> int:
 
         leakage = (k - v)(u - u') + v(k - l).
 
-    The pivots of the stacked type-P columns yield u, and those among
-    the first l coordinates count u'; the other-type columns' pivots
-    yield v.  observe() reads all three from the codes' memoized
-    `MdsCode.pivots`, and `independent_symbol_count` shares them.
+    observe() reads all three from `secure.column_ranks`, and
+    `independent_symbol_count` shares them.
 
     Precondition: every observed repair's helper columns span F^k (the MDS
     property).  observe() checks that for each helper set; where it fails,

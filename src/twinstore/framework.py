@@ -91,7 +91,7 @@ class TwinConfig:
                 f"n1={self.n1}, n2={self.n2} below the recommended "
                 f"2k-1={2 * self.k - 1} connectivity; repair stays correct "
                 f"but availability margins shrink",
-                UserWarning, stacklevel=2)
+                UserWarning, stacklevel=3)  # past the dataclass-generated __init__
 
     @classmethod
     def build(cls, field: PrimeField, n1: int, n2: int, k: int,

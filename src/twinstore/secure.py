@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BadPayloadLength, BudgetExceeded
 from .field import FieldMatrix, PrimeField
-from .framework import MessageMatrix, TwinConfig
+from .framework import MessageMatrix, TwinConfig, opposite_type
 
 
 def secure_capacity_twin(k: int, l1: int, l2: int) -> int:
@@ -127,6 +127,21 @@ def recover_payload(layout: SecureLayout, msg: MessageMatrix) -> np.ndarray:
     return block.flatten(order="F")[layout.k * layout.budget:]
 
 
+def column_ranks(config: TwinConfig, layout: SecureLayout, nodes) -> tuple:
+    """(u, u', v) of the observed (type, index) nodes: the rank of the
+    protected type's generator columns, the rank of their first l rows
+    (their pivots below l) and the rank of the other type's columns.
+
+    Read from each code's memoized `MdsCode.pivots`, which raises
+    DimensionMismatch for an index outside its code.
+    """
+    own = layout.protected_type
+    pivots = config.code_for(own).pivots(j for t, j in nodes if t == own)
+    other = config.code_for(opposite_type(own)).pivots(
+        j for t, j in nodes if t != own)
+    return (len(pivots), sum(1 for c in pivots if c < layout.budget), len(other))
+
+
 class GuaranteeReason(enum.Enum):
     ALL_SAME_TYPE_WITHIN_BUDGET = "AllSameTypeWithinBudget"
     SUBMATRIX_FULL_RANK = "SubmatrixFullRank"
@@ -148,9 +163,8 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     of the repaired node's content, so both sets reduce to generator columns.
     Sufficient, not necessary: every node must belong to the layout's
     protected type and the first-l-rows generator submatrix must have full
-    column rank, read from the code's memoized `MdsCode.pivots` (the
-    closed forms' u' = |columns|).  Returns NotGuaranteed (never raises)
-    outside that region.
+    column rank, i.e. `column_ranks` reads u' = |nodes| and v = 0.
+    Returns NotGuaranteed (never raises) outside that region.
     """
     nodes = [(int(t), int(j)) for t, j in e1_nodes] + \
             [(int(t), int(j)) for t, j in e2_nodes]
@@ -167,9 +181,7 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     code = config.code_for(layout.protected_type)
     if any(not 1 <= j <= code.n for _, j in nodes):
         return not_guaranteed
-    # rank of the first l rows of the columns = their pivots below l
-    pivots = code.pivots(j for _, j in nodes)
-    if sum(1 for c in pivots if c < layout.budget) != len(nodes):
+    if column_ranks(config, layout, nodes)[1:] != (len(nodes), 0):
         return not_guaranteed
     reason = (GuaranteeReason.ALL_SAME_TYPE_WITHIN_BUDGET
               if code.style == "vandermonde"

@@ -3,7 +3,9 @@
 A scenario is a config + secure layout + ordered events
 (fail / repair / reconstruct / eavesdrop / deploy).  Runs are pure
 functions of the scenario: the same input yields a byte-identical
-JSON-lines log.
+JSON-lines log.  An event is held as its normalized document
+(`parse_event`); each log record's `event` is that document, and such a
+document is itself a valid event, so a log's events replay to the same log.
 
 Structural problems (bad indices, wrong types, repairing a live node)
 fail pre-validation with MalformedScenario.  Domain faults discovered
@@ -41,65 +43,13 @@ from .secure import SecureLayout, guaranteed_secure_set
 
 
 # ----------------------------------------------------------------------
-# Events.
-
-@dataclass(frozen=True)
-class Fail:
-    node_type: int
-    index: int
-
-    def to_json_dict(self):
-        return {"op": "fail", "type": self.node_type, "index": self.index}
-
-
-@dataclass(frozen=True)
-class Repair:
-    node_type: int
-    index: int
-    helpers: tuple | None = None  # None = lowest-index live policy
-
-    def to_json_dict(self):
-        doc = {"op": "repair", "type": self.node_type, "index": self.index}
-        if self.helpers is not None:
-            doc["helpers"] = list(self.helpers)
-        return doc
-
-
-@dataclass(frozen=True)
-class Reconstruct:
-    node_type: int
-    nodes: tuple | None = None
-
-    def to_json_dict(self):
-        doc = {"op": "reconstruct", "type": self.node_type}
-        if self.nodes is not None:
-            doc["nodes"] = list(self.nodes)
-        return doc
-
-
-@dataclass(frozen=True)
-class Eavesdrop:
-    spec: EavesdropperSpec
-
-    def to_json_dict(self):
-        return {"op": "eavesdrop", **self.spec.to_json_dict()}
-
-
-@dataclass(frozen=True)
-class Deploy:
-    seeds1: tuple
-    seeds2: tuple
-
-    def to_json_dict(self):
-        return {"op": "deploy", "seeds1": list(self.seeds1),
-                "seeds2": list(self.seeds2)}
-
+# Scenarios and their logs.
 
 @dataclass(frozen=True)
 class Scenario:
     config: TwinConfig
     layout: SecureLayout
-    events: tuple
+    events: tuple  # normalized event documents, see parse_event
 
 
 @dataclass
@@ -139,32 +89,41 @@ def _node_list(config, refs, node_type, what, wrong_type=MixedTypes) -> tuple:
     return idx
 
 
-def parse_event(config: TwinConfig, doc: dict):
+def parse_event(config: TwinConfig, doc: dict) -> dict:
+    """The normalized event document, which `run` logs as it is.
+
+    Node references become indices, or sorted (type, index) pairs for an
+    eavesdrop's e1/e2 as EavesdropperSpec.of sorts them; node lists are
+    tuples; `helpers` and `nodes` appear only when the input gives them.
+    Parsing a normalized document returns an equal one.
+    """
     doc = loader.as_object(doc, "event")
     op = doc.get("op")
     if op in ("fail", "repair", "reconstruct"):
         t = loader.node_type(doc.get("type"))
+        event = {"op": op, "type": t}
     if op == "fail":
-        return Fail(t, loader.node_index(config, t, doc.get("index")))
-    if op == "repair":
-        helpers = doc.get("helpers")
-        if helpers is not None:
-            helpers = _node_list(config, helpers, opposite_type(t), "helpers",
-                                 WrongHelperType)
-        return Repair(t, loader.node_index(config, t, doc.get("index")), helpers)
-    if op == "reconstruct":
-        nodes = doc.get("nodes")
-        return Reconstruct(t, None if nodes is None
-                           else _node_list(config, nodes, t, "nodes"))
-    if op == "eavesdrop":
+        event["index"] = loader.node_index(config, t, doc.get("index"))
+    elif op == "repair":
+        if doc.get("helpers") is not None:
+            event["helpers"] = _node_list(config, doc["helpers"], opposite_type(t),
+                                          "helpers", WrongHelperType)
+        event["index"] = loader.node_index(config, t, doc.get("index"))
+    elif op == "reconstruct":
+        if doc.get("nodes") is not None:
+            event["nodes"] = _node_list(config, doc["nodes"], t, "nodes")
+    elif op == "eavesdrop":
         spec = loader.spec(doc, config)
         _require(spec.budget < config.k,
                  f"eavesdropper budget must stay below k={config.k}")
-        return Eavesdrop(spec)
-    if op == "deploy":
-        return Deploy(*(_node_list(config, doc.get(key), t, key)
-                        for key, t in (("seeds1", 1), ("seeds2", 2))))
-    raise MalformedScenario(f"unknown event op {op!r}")
+        event = {"op": op, "e1": spec.e1, "e2": spec.e2}
+    elif op == "deploy":
+        event = {"op": op}
+        for key, t in (("seeds1", 1), ("seeds2", 2)):
+            event[key] = _node_list(config, doc.get(key), t, key)
+    else:
+        raise MalformedScenario(f"unknown event op {op!r}")
+    return event
 
 
 def scenario_from_json(doc: dict) -> Scenario:
@@ -196,30 +155,27 @@ def load_scenario(path) -> Scenario:
 # ----------------------------------------------------------------------
 # Static liveness walk: catches sequencing bugs before any data moves.
 
-def _repair_feasible(config, live, event) -> bool:
-    helper_type = opposite_type(event.node_type)
-    if event.helpers is not None:
-        return all(live[helper_type][h - 1] for h in event.helpers)
-    return sum(live[helper_type]) >= config.k
-
-
 def _static_liveness_walk(scenario: Scenario):
     config = scenario.config
     live = {1: [True] * config.n1, 2: [True] * config.n2}
     for pos, event in enumerate(scenario.events):
-        where = f"event {pos}"
-        if isinstance(event, Fail):
-            _require(live[event.node_type][event.index - 1],
-                     f"{where}: failing type {event.node_type} node "
-                     f"{event.index}, which holds no data")
-            live[event.node_type][event.index - 1] = False
-        elif isinstance(event, Repair):
-            _require(not live[event.node_type][event.index - 1],
-                     f"{where}: repairing type {event.node_type} node "
-                     f"{event.index}, which is not failed")
-            if _repair_feasible(config, live, event):
-                live[event.node_type][event.index - 1] = True
-        elif isinstance(event, Deploy):
+        op = event["op"]
+        if op == "fail":
+            t, j = event["type"], event["index"]
+            _require(live[t][j - 1], f"event {pos}: failing type {t} node "
+                                     f"{j}, which holds no data")
+            live[t][j - 1] = False
+        elif op == "repair":
+            t, j = event["type"], event["index"]
+            _require(not live[t][j - 1], f"event {pos}: repairing type {t} "
+                                         f"node {j}, which is not failed")
+            # a starved repair leaves its target failed
+            helpers = live[opposite_type(t)]
+            if "helpers" in event:
+                live[t][j - 1] = all(helpers[h - 1] for h in event["helpers"])
+            else:
+                live[t][j - 1] = sum(helpers) >= config.k
+        elif op == "deploy":
             live = {1: [True] * config.n1, 2: [True] * config.n2}
 
 
@@ -236,55 +192,54 @@ def run(scenario: Scenario) -> EventLog:
     plans = {}
 
     def record(event, symbols=0, ok=True, error=None, report=None):
-        log.records.append({"event": event.to_json_dict(), "symbols": symbols,
+        log.records.append({"event": event, "symbols": symbols,
                             "ok": ok, "error": error, "report": report})
 
     for event in scenario.events:
-        if isinstance(event, Fail):
-            system = framework.fail_node(system, event.node_type, event.index)
+        op = event["op"]
+        if op == "fail":
+            system = framework.fail_node(system, event["type"], event["index"])
             record(event)
-        elif isinstance(event, Repair):
-            helpers = event.helpers
+        elif op == "repair":
+            t, j = event["type"], event["index"]
+            helpers = event.get("helpers")
             if helpers is None:
-                helpers = framework.default_helpers(system, event.node_type)
+                helpers = framework.default_helpers(system, t)
                 if len(helpers) < k:
                     record(event, ok=False, error="RepairStarvation")
                     continue
             try:
-                system, _ = framework.repair(system, event.node_type,
-                                             event.index, helpers)
+                system, _ = framework.repair(system, t, j, helpers)
             except TwinstoreError as exc:
                 record(event, ok=False, error=type(exc).__name__)
                 continue
-            plans[(event.node_type, event.index)] = tuple(helpers)
+            plans[(t, j)] = tuple(helpers)
             record(event, symbols=k)
-        elif isinstance(event, Reconstruct):
-            nodes = event.nodes
+        elif op == "reconstruct":
+            nodes = event.get("nodes")
             if nodes is None:
-                nodes = tuple(framework.usable_nodes(system, event.node_type)[:k])
+                nodes = tuple(framework.usable_nodes(system, event["type"])[:k])
             try:
-                recovered = framework.reconstruct(system, event.node_type, nodes)
+                recovered = framework.reconstruct(system, event["type"], nodes)
             except TwinstoreError as exc:
                 record(event, ok=False, error=type(exc).__name__)
                 continue
             record(event, symbols=k * k,
                    report={"nodes": list(nodes),
                            "matches_source": recovered.a1 == source})
-        elif isinstance(event, Eavesdrop):
-            missing = [n for n in event.spec.e2 if n not in plans]
+        elif op == "eavesdrop":
+            spec = EavesdropperSpec(e1=event["e1"], e2=event["e2"])
+            missing = [n for n in spec.e2 if n not in plans]
             if missing:
                 record(event, ok=False, error="MissingRepairPlan",
                        report={"unplanned": [list(n) for n in missing]})
                 continue
             record(event, report=eavesdrop_report(
-                system, scenario.layout, event.spec,
-                {n: plans[n] for n in event.spec.e2}))
-        elif isinstance(event, Deploy):
+                system, scenario.layout, spec, {n: plans[n] for n in spec.e2}))
+        else:  # deploy, the last op parse_event accepts
             system = framework.deploy(config, scenario.layout.matrix,
-                                      event.seeds1, event.seeds2)
+                                      event["seeds1"], event["seeds2"])
             record(event, symbols=(config.n - 2 * k) * k)
-        else:  # pragma: no cover - parse_event exhausts the ops
-            raise MalformedScenario(f"unhandled event {event!r}")
 
     log.final_system = system
     return log

@@ -110,6 +110,15 @@ class TestEncodeSystem:
         assert ok.meets_recommended_connectivity
         assert not caught
 
+    def test_connectivity_warning_names_the_building_line(self, f11):
+        codes = [mds.make_vandermonde(n, 4, f11) for n in (5, 6)]
+        with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
+            TwinConfig(f11, 5, 6, 4, *codes)
+        assert [w.filename for w in caught] == [__file__]
+        with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
+            TwinConfig.build(f11, 5, 6, 4)
+        assert all(w.filename != "<string>" for w in caught)
+
 
 def per_row_reconstruct(system, node_type, idx):
     """Reference: decode row t of the type's spread matrix, one k-symbol

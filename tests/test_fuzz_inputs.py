@@ -195,6 +195,13 @@ def test_eavesdrop_spec(workdir, inputs):
 
 
 @FUZZ
+@given(inputs=cli_inputs("eavesdrop"))
+def test_eavesdrop_sweep(workdir, inputs):
+    flags, _ = inputs  # no --in: a sweep over every spec within the budget
+    run_main(["eavesdrop", *flags, "--out", str(workdir / "out")])
+
+
+@FUZZ
 @given(kind=st.sampled_from(["fig5", "fig8", "fig9"]),
        flags=st.dictionaries(st.sampled_from(["--k", "--k-max", "--l1"]),
                              st.integers(-5, 60)))

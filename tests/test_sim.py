@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from twinstore import (
     PrimeField,
@@ -18,6 +19,7 @@ from twinstore.field import FieldMatrix
 from twinstore.secure import make_secure_layout
 
 from conftest import build_config
+from test_fuzz_inputs import FUZZ, scenarios
 
 
 def demo_scenario_doc(events=(), l1=2, l2=0, payload=None, seed=7):
@@ -338,3 +340,48 @@ class TestSweep:
             worst_by_total[total] = max(worst_by_total.get(total, 0), leak)
         assert worst_by_total[0] == 0
         assert worst_by_total[0] <= worst_by_total[1] <= worst_by_total[2]
+
+
+# The events of demos/04_scenario_engine.py; then events whose normalized
+# form differs from the input (unsorted e1, [type, index] pairs, a null
+# helpers list); then events whose records are errors.
+REPLAY_EVENTS = [
+    [{"op": "fail", "type": 2, "index": 2},
+     {"op": "repair", "type": 2, "index": 2, "helpers": [1, 3, 4, 5]},
+     {"op": "eavesdrop", "e1": [[2, 1]], "e2": [[2, 2]]},
+     {"op": "reconstruct", "type": 1},
+     {"op": "deploy", "seeds1": [1, 2, 3, 4], "seeds2": [1, 2, 3, 4]}],
+    [{"op": "fail", "type": 1, "index": 3},
+     {"op": "repair", "type": 1, "index": 3,
+      "helpers": [[2, 6], [2, 1], [2, 2], [2, 3]]},
+     {"op": "fail", "type": 2, "index": 5},
+     {"op": "repair", "type": 2, "index": 5, "helpers": None},
+     {"op": "eavesdrop", "e1": [[2, 4], [1, 2]], "e2": [[1, 3]]},
+     {"op": "reconstruct", "type": 2, "nodes": [[2, 6], [2, 5], [2, 4], [2, 3]]},
+     {"op": "deploy", "seeds1": [[1, 5], [1, 1], [1, 2], [1, 3]],
+      "seeds2": [6, 5, 4, 3]}],
+    [{"op": "eavesdrop", "e1": [], "e2": [[2, 2]]},
+     {"op": "fail", "type": 1, "index": 1},
+     *({"op": "fail", "type": 2, "index": j} for j in (1, 2, 3)),
+     {"op": "repair", "type": 1, "index": 1},
+     {"op": "reconstruct", "type": 2, "nodes": [1, 4, 5, 6]}],
+]
+
+
+def assert_log_replays(doc):
+    """The `event` fields of a scenario's log, used as its events, parse
+    and reproduce the log byte for byte."""
+    log = run(scenario_from_json(doc)).to_jsonl()
+    events = [json.loads(line)["event"] for line in log.splitlines()]
+    assert run(scenario_from_json({**doc, "events": events})).to_jsonl() == log
+
+
+class TestLogReplay:
+    @pytest.mark.parametrize("events", REPLAY_EVENTS)
+    def test_demo_scenarios(self, events):
+        assert_log_replays(demo_scenario_doc(events))
+
+    @settings(FUZZ, max_examples=40)
+    @given(doc=scenarios())
+    def test_generated_scenarios(self, doc):
+        assert_log_replays(doc)
