@@ -29,8 +29,9 @@ scenario = ts.scenario_from_json(scenario_doc)
 log = ts.run(scenario)
 print("event log (JSON lines):")
 print(log.to_jsonl())
+moved = sum(r["symbols"] for r in log.records)
 print(f"errors: {log.has_errors}; total symbols moved: "
-      f"{log.symbols_transferred} (repair=4, reconstruct=16, deploy=3*4)")
+      f"{moved} (repair=4, reconstruct=16, deploy=3*4)")
 
 # identical scenario, identical bytes
 again = ts.run(ts.scenario_from_json(json.loads(json.dumps(scenario_doc))))

@@ -14,7 +14,6 @@ from .bounds import (
     secure_msr_size,
     series_to_csv,
     twin_file_size,
-    twin_secure_size,
 )
 from .eavesdrop import (
     EavesdropperSpec,

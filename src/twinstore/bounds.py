@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import BadRange
+from .secure import secure_capacity_twin
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,6 @@ def secure_msr_size(k: int, d: int, alpha, l1: int, l2: int) -> Fraction:
     return (k - l1 - l2) * shrink * Fraction(alpha)
 
 
-def twin_secure_size(k: int, l1: int, l2: int) -> int:
-    """k (k - l1 - l2) payload symbols at zero leakage."""
-    return k * (k - l1 - l2)
-
-
 @dataclass(frozen=True)
 class BoundRow:
     """One comparison-series row; absent quantities stay None."""
@@ -143,7 +139,7 @@ def comparison_series(kind: str, *, k_max: int = 50, k: int = 50,
         for l in range(1, k):
             rows.append(BoundRow(
                 k=k, l1=l, l2=0,
-                s_twin=twin_secure_size(k, l, 0),
+                s_twin=secure_capacity_twin(k, l, 0),
                 s_mbr=secure_mbr_size(k, k, 1, l),
                 s_msr=None))
     elif kind == "fig9":
@@ -153,7 +149,7 @@ def comparison_series(kind: str, *, k_max: int = 50, k: int = 50,
         for l2 in range(1, k - l1):
             rows.append(BoundRow(
                 k=k, l1=l1, l2=l2,
-                s_twin=twin_secure_size(k, l1, l2),
+                s_twin=secure_capacity_twin(k, l1, l2),
                 s_mbr=None,
                 s_msr=secure_msr_size(k, 2 * k - 1, k, l1, l2)))
     else:

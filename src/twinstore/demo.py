@@ -16,7 +16,7 @@ import numpy as np
 from . import mds
 from .eavesdrop import (
     EavesdropperSpec,
-    _storage_rows,
+    _functional_rows,
     independent_symbol_count,
     leakage,
     observe,
@@ -135,11 +135,12 @@ def run_demo(g1=None, g2=None, seed: int = 7) -> list:
     system = encode_system(config, layout.matrix)
     f = layout.source_vector()
     p = config.field.p
+    identity = np.eye(config.k, dtype=np.int64)
 
     table_ok, table_detail = True, "all 11 nodes match"
     for (node_type, j), expected in sorted(DEMO_NODE_TABLE.items()):
         g = config.encoding_vector(node_type, j).coefficients
-        actual_rows = _storage_rows(config.k, node_type, g, p)
+        actual_rows = _functional_rows(node_type, g, identity, p)
         expect_rows = np.stack([functional_from_labels(sym) for sym in expected]) % p
         stored = system.node(node_type, j).symbols
         if not (np.array_equal(actual_rows, expect_rows)

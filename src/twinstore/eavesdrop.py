@@ -11,7 +11,7 @@ statement: with uniform independent randomness and payload,
 `leakage` and `independent_symbol_count` evaluate rank(M) and that rank
 gap in closed form from the ranks of the observed nodes' generator
 columns, `secure.column_ranks`, which `secure.guaranteed_secure_set`
-shares.  Those ranks and the helper-span check below read one memo per
+shares.  Those ranks and observe's helper-span check read one memo per
 code, `MdsCode.pivots`, keyed by the observed position set, so a sweep
 eliminates once per distinct set of generator columns, not once per
 spec.  Type 1 nodes with column rank u1
@@ -20,12 +20,12 @@ and the two meet in U2 (x) U1, so
 
     rank(M) = k(u1 + u2) - u1*u2.
 
-Both closed forms hold whenever every observed repair's helpers span
-F^k; otherwise they fall back to eliminating M itself: `obs.matrix.rank()`
-and `leakage_by_elimination`, the reference oracle that counts pivots
-left of / right of the random block.  For tiny instances both are
-cross-checked against brute-force mutual information computed by
-enumerating every source vector.
+Both closed forms hold for every observation `observe` accepts, MDS
+code or not, since it refuses a repair whose helpers do not span F^k, as
+`framework.repair` does.  The references they are tested against are
+`obs.matrix.rank()` and `leakage_by_elimination`, which counts pivots
+left of / right of the random block, and for tiny instances brute-force
+mutual information computed by enumerating every source vector.
 
 `revealed_symbols`, the source coordinates the eavesdropper learns
 outright, comes from one reduced row echelon form of M and holds for any
@@ -33,12 +33,12 @@ M: coordinate i is revealed iff some RREF row is the unit vector e_i.
 
 `observe`, the only constructor of `Observation`, validates a spec and
 records the config and layout, the observed nodes (type, index, and the
-helpers of an observed repair), the helper-span flag and the column
-ranks (u, u', v).  The rows of M are assembled symbolically from
-generator columns, so the result is a property of the scheme rather
-than of one random draw, and only when something reads `obs.matrix` or
-`obs.values`: `revealed_symbols`, the elimination fallbacks and
-`brute_force_mi`.  Rank and leakage never do.
+helpers of an observed repair) and the column ranks (u, u', v).  The
+rows of M are assembled symbolically from generator columns, so the
+result is a property of the scheme rather than of one random draw, and
+only when something reads `obs.matrix` or `obs.values`:
+`revealed_symbols`, the elimination references and `brute_force_mi`.
+Rank and leakage never do.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
     MissingRepairPlan,
+    SingularSubmatrix,
 )
 from .field import FieldMatrix, _pivot_columns
 from .framework import TwinConfig, TwinSystem, default_helpers, opposite_type
@@ -97,16 +98,13 @@ class Observation:
     node: None for a storage read, the k helper indices for an observed
     repair.  `column_ranks` is (u, u', v): the rank of the observed
     protected-type generator columns, the rank of their first l rows and
-    the rank of the observed other-type columns.  `helpers_span` says
-    whether every observed repair's helpers span F^k, which the closed
-    forms for rank and leakage need.  The matrix M and its observed
-    values are assembled from `nodes` on first read.
+    the rank of the observed other-type columns.  The matrix M and its
+    observed values are assembled from `nodes` on first read.
     """
 
     config: TwinConfig
     layout: SecureLayout
     nodes: tuple
-    helpers_span: bool
     column_ranks: tuple
 
     @cached_property
@@ -116,13 +114,13 @@ class Observation:
         k, p = config.k, config.field.p
         blocks = [np.zeros((0, k * k), dtype=np.int64)]
         for t, j, helpers in self.nodes:
-            g = config.code_for(t).encoding_vector(j)
             if helpers is None:
-                blocks.append(_storage_rows(k, t, g, p))
+                through = np.eye(k, dtype=np.int64)
             else:
                 generator = config.code_for(opposite_type(t)).generator.array
-                blocks.append(_repair_rows(
-                    k, t, g, generator[:, [h - 1 for h in helpers]].T, p))
+                through = generator[:, [h - 1 for h in helpers]].T
+            blocks.append(_functional_rows(
+                t, config.code_for(t).encoding_vector(j), through, p))
         return FieldMatrix(np.vstack(blocks), config.field)
 
     @cached_property
@@ -131,35 +129,22 @@ class Observation:
         return self.matrix @ self.layout.source_vector()
 
 
-def _storage_rows(k: int, node_type: int, g: np.ndarray, p: int) -> np.ndarray:
-    """k functional rows for the stored symbols of one node.
+def _functional_rows(node_type: int, g: np.ndarray, through: np.ndarray,
+                     p: int) -> np.ndarray:
+    """One functional row per row h of `through`: what a node shows through h.
 
     Source coordinate c*k + t holds message-matrix entry (t, c).  A Type 1
-    node's symbol t combines row t (weight g[c] at c*k + t); a Type 2
-    node's symbol t combines column t (weight g[c] at t*k + c).
+    node g shows h^T A g, weight g[t]*h[c] on coordinate t*k + c; a Type 2
+    node shows g^T A h, weight h[c]*g[t] on c*k + t.  Through the identity
+    these are its stored symbols, through k helpers' generator columns the
+    symbols they ship to repair it.
     """
-    rows = np.zeros((k, k * k), dtype=np.int64)
-    t = np.arange(k)
+    k = g.shape[0]
     if node_type == 1:
-        rows[t[:, None], t[None, :] * k + t[:, None]] = g[None, :] % p
+        outer = g[None, :, None] * through[:, None, :]
     else:
-        rows[t[:, None], t[:, None] * k + t[None, :]] = g[None, :] % p
-    return rows
-
-
-def _repair_rows(k: int, failed_type: int, g_failed: np.ndarray,
-                 helper_vectors: np.ndarray, p: int) -> np.ndarray:
-    """One functional row per helper for an observed repair.
-
-    The helper serving a failed Type 1 node g ships sum_{t,c} g[t] A[c,t] h[c],
-    i.e. weight g[t]*h[c] on coordinate t*k + c; for a failed Type 2 node the
-    roles transpose to weight h[c]*g[t] on coordinate c*k + t.
-    """
-    if failed_type == 1:
-        outer = g_failed[None, :, None] * helper_vectors[:, None, :]
-    else:
-        outer = helper_vectors[:, :, None] * g_failed[None, None, :]
-    return outer.reshape(helper_vectors.shape[0], k * k) % p
+        outer = through[:, :, None] * g[None, None, :]
+    return outer.reshape(through.shape[0], k * k) % p
 
 
 def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
@@ -170,10 +155,11 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     used for its observed repair; the functionals do not depend on when
     the repair happened, only on which helpers served it.  Every node and
     plan is validated here, before anything is assembled; a node outside
-    its code fails in `MdsCode.pivots`.  The column ranks (u, u', v)
-    (`secure.column_ranks`) and the helper-span check come from each
-    code's memoized `MdsCode.pivots`, so a sweep eliminates once per
-    distinct position set rather than once per spec.
+    its code fails in `MdsCode.pivots`; helpers that do not span F^k raise
+    SingularSubmatrix, as in repair().  The column ranks (u, u', v)
+    (`secure.column_ranks`) and the span check come from each code's
+    memoized `MdsCode.pivots`, so a sweep eliminates once per distinct
+    position set rather than once per spec.
     """
     config = system.config
     k = config.k
@@ -184,7 +170,6 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     repair_plans = dict(repair_plans or {})
 
     nodes = [(node_type, j, None) for node_type, j in spec.e1]
-    helpers_span = True
     for node_type, j in spec.e2:
         plan = repair_plans.get((node_type, j))
         if plan is None:
@@ -200,12 +185,16 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
                 f"repair plan for type {node_type} node {j} must name k={k} "
                 f"distinct type {helper_type} helpers, got {plan}"
             )
+        if not helper_code.spans(helpers):
+            raise SingularSubmatrix(
+                f"type {helper_type} helpers {helpers} do not span F^{k}; "
+                f"no repair of type {node_type} node {j} can use them"
+            )
         nodes.append((node_type, j, helpers))
-        helpers_span = helpers_span and helper_code.spans(helpers)
 
     ranks = column_ranks(config, layout, [(t, j) for t, j, _ in nodes])
     return Observation(config=config, layout=layout, nodes=tuple(nodes),
-                       helpers_span=helpers_span, column_ranks=ranks)
+                       column_ranks=ranks)
 
 
 def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
@@ -221,12 +210,7 @@ def independent_symbol_count(obs: Observation) -> int:
     terms meet in U2 (x) U1:
 
         rank(M) = k(u1 + u2) - u1*u2.
-
-    Same precondition and fallback as `leakage`: where an observed
-    repair's helpers do not span F^k, this returns obs.matrix.rank().
     """
-    if not obs.helpers_span:
-        return obs.matrix.rank()
     u, _, v = obs.column_ranks
     return obs.config.k * (u + v) - u * v
 
@@ -247,13 +231,7 @@ def leakage(obs: Observation) -> int:
 
     observe() reads all three from `secure.column_ranks`, and
     `independent_symbol_count` shares them.
-
-    Precondition: every observed repair's helper columns span F^k (the MDS
-    property).  observe() checks that for each helper set; where it fails,
-    this returns leakage_by_elimination(obs), so the two never disagree.
     """
-    if not obs.helpers_span:
-        return leakage_by_elimination(obs)
     u, u_low, v = obs.column_ranks
     k, l = obs.config.k, obs.layout.budget
     return (k - v) * (u - u_low) + v * (k - l)

@@ -47,7 +47,7 @@ class NotMds(TwinstoreError):
 
 
 class SingularSubmatrix(TwinstoreError):
-    """Erasure decoding hit a singular submatrix (corrupted code object)."""
+    """A decode's k code columns do not span F^k (corrupted or non-MDS code)."""
 
 
 class UnverifiedCode(TwinstoreError):

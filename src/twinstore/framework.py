@@ -13,6 +13,7 @@ Node indices are 1-based on this module's surface.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -87,11 +88,14 @@ class TwinConfig:
                 f"n1={self.n1}, n2={self.n2}, k={self.k}"
             )
         if not self.meets_recommended_connectivity:
+            # name the caller: past the generated __init__ and, when built
+            # by build or from_codes, past their frame in this module
+            level = 3 + (sys._getframe(2).f_code.co_filename == __file__)
             warnings.warn(
                 f"n1={self.n1}, n2={self.n2} below the recommended "
                 f"2k-1={2 * self.k - 1} connectivity; repair stays correct "
                 f"but availability margins shrink",
-                UserWarning, stacklevel=3)  # past the dataclass-generated __init__
+                UserWarning, stacklevel=level)
 
     @classmethod
     def build(cls, field: PrimeField, n1: int, n2: int, k: int,

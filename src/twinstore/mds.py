@@ -72,9 +72,8 @@ class MdsCode:
     def spans(self, positions) -> bool:
         """True iff the generator columns at the 1-based positions span F^k.
 
-        Any k positions of an MDS code do, but hand-built codes and
-        snapshots loaded without the minor check need not be MDS, so the
-        rank is read from the shared `pivots` memo.
+        Any k positions of an MDS code do, but a hand-built code need not
+        be MDS, so the rank is read from the shared `pivots` memo.
         """
         return len(self.pivots(positions)) == self.k
 

@@ -61,10 +61,6 @@ class EventLog:
     def has_errors(self) -> bool:
         return any(not r["ok"] for r in self.records)
 
-    @property
-    def symbols_transferred(self) -> int:
-        return sum(r["symbols"] for r in self.records)
-
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 

@@ -21,7 +21,7 @@ from twinstore.demo import (
     DEMO_NODE_TABLE,
     functional_from_labels,
 )
-from twinstore.eavesdrop import _storage_rows
+from twinstore.eavesdrop import _functional_rows
 from twinstore.errors import NotMds
 
 from conftest import build_config
@@ -63,7 +63,7 @@ def test_c01_golden_encode(demo_config, demo_layout, demo_system):
         # full table: symbolic functionals and numeric contents per node
         for (node_type, j), expected in sorted(DEMO_NODE_TABLE.items()):
             g = demo_config.encoding_vector(node_type, j).coefficients
-            rows = _storage_rows(4, node_type, g, p)
+            rows = _functional_rows(node_type, g, np.eye(4, dtype=np.int64), p)
             want = np.stack([functional_from_labels(sym) for sym in expected]) % p
             assert np.array_equal(rows, want), (node_type, j)
             assert np.array_equal(demo_system.node(node_type, j).symbols,

@@ -11,11 +11,11 @@ from twinstore import (
     msr_file_size,
     msr_point,
     secrecy_bound_pawar,
+    secure_capacity_twin,
     secure_mbr_size,
     secure_msr_size,
     series_to_csv,
     twin_file_size,
-    twin_secure_size,
 )
 from twinstore.errors import BadRange
 
@@ -126,8 +126,8 @@ class TestSecrecyBounds:
         assert got.denominator == 50**46  # stays an exact rational
 
     def test_twin_secure_size(self):
-        assert twin_secure_size(4, 2, 0) == 8
-        assert twin_secure_size(50, 2, 1) == 2350
+        assert secure_capacity_twin(4, 2, 0) == 8
+        assert secure_capacity_twin(50, 2, 1) == 2350
 
 
 class TestDominance:
@@ -135,7 +135,7 @@ class TestDominance:
         # twin secure size never loses to the MBR bound at beta=1, alpha=d=k
         for k in range(2, 201):
             for l in range(1, k):
-                assert twin_secure_size(k, l, 0) >= secure_mbr_size(k, k, 1, l)
+                assert secure_capacity_twin(k, l, 0) >= secure_mbr_size(k, k, 1, l)
 
     def test_twin_vs_msr_strict_when_repairs_observed(self):
         for k in range(3, 60):
@@ -143,7 +143,7 @@ class TestDominance:
                 for l2 in range(1, k - l1):
                     if l1 + l2 >= k:
                         continue
-                    twin = twin_secure_size(k, l1, l2)
+                    twin = secure_capacity_twin(k, l1, l2)
                     msr = secure_msr_size(k, 2 * k - 1, k, l1, l2)
                     assert twin > msr
 

@@ -237,9 +237,8 @@ class TestEavesdrop:
         # set in a code's pivot memo
         builds, eliminations, position_sets = [], [], set()
         sweeping = []
-        for name in ("_storage_rows", "_repair_rows"):
-            monkeypatch.setattr(eavesdrop, name,
-                                lambda *args, name=name: builds.append(name))
+        monkeypatch.setattr(eavesdrop, "_functional_rows",
+                            lambda *args: builds.append(args))
         raw_reduce = field._row_reduce
 
         def counting_reduce(*args, **kwargs):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -14,15 +13,18 @@ from twinstore import (
     PrimeField,
     TwinConfig,
     brute_force_mi,
+    default_helpers,
     default_repair_plans,
     eavesdrop_report,
     encode_system,
+    helper_share,
     independent_symbol_count,
     leakage,
     leakage_by_elimination,
     make_secure_layout,
     make_vandermonde,
     observe,
+    repair,
     revealed_symbols,
 )
 from twinstore.errors import (
@@ -30,9 +32,10 @@ from twinstore.errors import (
     DimensionMismatch,
     InstanceTooLarge,
     MissingRepairPlan,
+    SingularSubmatrix,
 )
 from twinstore import eavesdrop, mds
-from twinstore.demo import build_demo_layout
+from twinstore.demo import build_demo_config, build_demo_layout
 from twinstore.field import _pivot_columns, vstack
 
 from conftest import build_config
@@ -125,20 +128,18 @@ class TestObserve:
         obs = observe(demo_system, demo_layout, spec, {(1, 3): (2, 3, 4, 5)})
         assert obs.layout is demo_layout
         assert obs.nodes == ((2, 1, None), (1, 3, (2, 3, 4, 5)))
-        assert obs.helpers_span
 
 
 @pytest.fixture()
 def row_builds(monkeypatch):
-    """Count the row-block builds that assemble an observation matrix."""
+    """Record the node type of each row-block build of an observation matrix."""
     calls = []
-    for name in ("_storage_rows", "_repair_rows"):
-        raw = getattr(eavesdrop, name)
+    raw = eavesdrop._functional_rows
 
-        def counting(*args, raw=raw, name=name):
-            calls.append(name)
-            return raw(*args)
-        monkeypatch.setattr(eavesdrop, name, counting)
+    def counting(node_type, *args):
+        calls.append(node_type)
+        return raw(node_type, *args)
+    monkeypatch.setattr(eavesdrop, "_functional_rows", counting)
     return calls
 
 
@@ -162,7 +163,8 @@ class TestLazyAssembly:
         assert (leakage(obs), independent_symbol_count(obs)) == (4, 10)
         assert row_builds == []
         assert obs.matrix.rows == 12
-        assert row_builds == ["_storage_rows", "_storage_rows", "_repair_rows"]
+        # storage of (1, 1) and (2, 3), then the repair of (2, 2)
+        assert row_builds == [1, 2, 2]
         assert obs.values.shape == (12,)
         assert len(row_builds) == 3  # matrix and values assembled together
 
@@ -288,7 +290,6 @@ class TestClosedFormLeakage:
                             size = int(rng.integers(0, k))
                             spec, plans = _random_spec(rng, config, size)
                             obs = observe(system, layout, spec, plans)
-                            assert obs.helpers_span  # closed form path taken
                             assert leakage(obs) == leakage_by_elimination(obs), (
                                 k, l1, l2, prot, spec, plans)
                             assert (independent_symbol_count(obs)
@@ -300,9 +301,10 @@ class TestClosedFormLeakage:
                             checked += 1
         assert checked == 8 * 2 * sum(k * (k + 1) // 2 for k in range(2, 7))
 
-    def test_non_mds_helpers_fall_back_to_elimination(self):
+    def test_non_mds_helpers_are_refused_like_repair(self):
         # type 1 code over F_11 with column 3 equal to column 2: helpers
-        # (1, 2, 3) of the repaired Type 2 node span only a plane
+        # (1, 2, 3) of a Type 2 node span only a plane, so repair cannot
+        # decode from them and observe refuses the repair as well
         f11 = PrimeField(11)
         good = make_vandermonde(5, 3, f11)
         gen = good.generator.array.copy()
@@ -312,26 +314,66 @@ class TestClosedFormLeakage:
         config = TwinConfig.from_codes(bad, make_vandermonde(5, 3, f11))
         layout = make_secure_layout(list(range(6)), 0, 1, 3, f11, seed=4)
         system = encode_system(config, layout.matrix)
-        spec = EavesdropperSpec.of([], [(2, 1)])
-        obs = observe(system, layout, spec, {(2, 1): (1, 2, 3)})
-        assert not obs.helpers_span
-        assert leakage(obs) == leakage_by_elimination(obs) == 1
-        assert independent_symbol_count(obs) == obs.matrix.rank() == 2
-        # the revealed set needs no guard: one RREF is exact for any M
-        assert revealed_symbols(obs) == revealed_by_row_space(obs) == {"r1"}
-        # the unguarded closed forms would report 2 and 3
-        unguarded = dataclasses.replace(obs, helpers_span=True)
-        assert leakage(unguarded) == 2
-        assert independent_symbol_count(unguarded) == 3
+        with pytest.raises(SingularSubmatrix):
+            observe(system, layout, EavesdropperSpec.of([], [(2, 1)]),
+                    {(2, 1): (1, 2, 3)})
+        with pytest.raises(SingularSubmatrix):
+            repair(system, 2, 1, (1, 2, 3))
+        # on the same code, spanning helpers and storage reads of the
+        # dependent columns keep both closed forms exact
+        for e1, e2, plans in [([], [(2, 1)], {(2, 1): (1, 2, 4)}),
+                              ([(1, 2), (1, 3)], [], {}),
+                              ([(1, 3)], [(2, 1)], {(2, 1): (1, 4, 5)})]:
+            obs = observe(system, layout, EavesdropperSpec.of(e1, e2), plans)
+            assert leakage(obs) == leakage_by_elimination(obs), (e1, e2)
+            assert independent_symbol_count(obs) == obs.matrix.rank(), (e1, e2)
+            assert (revealed_symbols(obs)
+                    == revealed_by_row_space(obs)), (e1, e2)
 
-    def test_observation_without_structure_uses_elimination(self, cross_type_obs):
-        # without the helper-span flag the closed forms do not apply
-        bare = dataclasses.replace(cross_type_obs, helpers_span=False)
-        assert leakage(bare) == leakage(cross_type_obs) == 2
-        assert (independent_symbol_count(bare)
-                == independent_symbol_count(cross_type_obs) == 7)
-        assert (revealed_symbols(bare) == revealed_by_row_space(bare)
-                == revealed_symbols(cross_type_obs))
+    def test_random_non_mds_codes(self):
+        # observe accepts exactly the plans repair can decode from, and on
+        # everything it accepts the closed forms equal the eliminations
+        rng = np.random.default_rng(1500)
+        accepted_repairs = refused = 0
+        for _ in range(1500):
+            field = PrimeField(int(rng.choice([3, 5, 11])))
+            k = int(rng.integers(2, 5))
+            codes = []
+            for n in rng.integers(k, k + 4, size=2):
+                gen = field.uniform(rng, (k, int(n)))
+                a, b = rng.permutation(int(n))[:2]
+                gen[:, b] = gen[:, a] * rng.integers(1, field.p) % field.p
+                codes.append(MdsCode(n=int(n), k=k, field=field,
+                                     generator=FieldMatrix(gen, field),
+                                     style="explicit"))
+            config = TwinConfig.from_codes(*codes)
+            l1 = int(rng.integers(0, k))
+            l2 = int(rng.integers(0, k - l1))
+            layout = make_secure_layout(
+                field.uniform(rng, k * (k - l1 - l2)), l1, l2, k, field,
+                seed=int(rng.integers(1 << 30)),
+                protected_type=int(rng.integers(1, 3)))
+            system = encode_system(config, layout.matrix)
+            spec, plans = _random_spec(rng, config, int(rng.integers(1, k)))
+            repair_refuses = False
+            for (t, j), helpers in plans.items():
+                try:
+                    repair(system, t, j, helpers)
+                except SingularSubmatrix:
+                    repair_refuses = True
+            try:
+                obs = observe(system, layout, spec, plans)
+            except SingularSubmatrix:
+                assert repair_refuses, (spec, plans)
+                refused += 1
+                continue
+            assert not repair_refuses, (spec, plans)
+            assert leakage(obs) == leakage_by_elimination(obs), (spec, plans)
+            assert independent_symbol_count(obs) == obs.matrix.rank(), (
+                spec, plans)
+            accepted_repairs += bool(plans)
+        assert accepted_repairs > 200 and refused > 500, (
+            accepted_repairs, refused)
 
     def test_rank_and_leakage_share_one_column_rank_pass(self, monkeypatch):
         # a fresh config, so the codes' pivot memos start empty
@@ -457,6 +499,36 @@ class TestE2Equivalence:
                             {(t, j): helpers})
             stacked = vstack([store.matrix, watch.matrix])
             assert store.matrix.rank() == watch.matrix.rank() == stacked.rank()
+
+    @pytest.mark.parametrize("p", [11, 2**31 - 1])
+    def test_observed_values_equal_shipped_shares(self, p):
+        # what observe records of a repair is what repair() ships: one
+        # helper_share per helper, for the default and random helper sets
+        rng = np.random.default_rng(p)
+        if p == 11:
+            config, layout = build_demo_config(), build_demo_layout(seed=7)
+        else:
+            field = PrimeField(p)
+            config = build_config(field, 7, 8, 5)
+            layout = make_secure_layout(field.uniform(rng, 15), 1, 1, 5, field,
+                                        seed=3)
+        k = config.k
+        system = encode_system(config, layout.matrix)
+        for t in (1, 2):
+            helper_type = 3 - t
+            n_helpers = config.node_count(helper_type)
+            helper_sets = [default_helpers(system, t)] + [
+                tuple(int(h) for h in rng.permutation(n_helpers)[:k] + 1)
+                for _ in range(3)]
+            for j in range(1, config.node_count(t) + 1):
+                target = config.encoding_vector(t, j)
+                for helpers in helper_sets:
+                    obs = observe(system, layout,
+                                  EavesdropperSpec.of([], [(t, j)]),
+                                  {(t, j): helpers})
+                    shipped = [helper_share(system.node(helper_type, h), target)
+                               for h in helpers]
+                    assert obs.values.tolist() == shipped, (t, j, helpers)
 
 
 class TestBruteForceMi:

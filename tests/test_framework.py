@@ -117,7 +117,10 @@ class TestEncodeSystem:
         assert [w.filename for w in caught] == [__file__]
         with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
             TwinConfig.build(f11, 5, 6, 4)
-        assert all(w.filename != "<string>" for w in caught)
+        assert [w.filename for w in caught] == [__file__]
+        with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
+            TwinConfig.from_codes(*codes)
+        assert [w.filename for w in caught] == [__file__]
 
 
 def per_row_reconstruct(system, node_type, idx):

@@ -286,7 +286,7 @@ class TestRun:
                       if r["event"]["op"] == "repair" and r["ok"])
         recs = sum(1 for r in log.records
                    if r["event"]["op"] == "reconstruct" and r["ok"])
-        assert log.symbols_transferred == repairs * 4 + recs * 16
+        assert sum(r["symbols"] for r in log.records) == repairs * 4 + recs * 16
 
 
 class TestSweep:
