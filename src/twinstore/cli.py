@@ -9,6 +9,7 @@ encode     encode a payload into a full system snapshot (JSON)
 eavesdrop  leakage report for one eavesdropper spec, or a budget sweep
 
 Exit codes: 0 success, 1 domain failure, 2 usage/malformed input.
+Each warning, such as the connectivity advisory, is one stderr line.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import bounds as bounds_mod
 from . import loader, sim
@@ -165,14 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TwinstoreError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # a CLI user has no source line of their own for a warning to name
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except MalformedInput as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except TwinstoreError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

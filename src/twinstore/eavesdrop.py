@@ -10,11 +10,12 @@ statement: with uniform independent randomness and payload,
 
 `leakage` and `independent_symbol_count` evaluate rank(M) and that rank
 gap in closed form from the ranks of the observed nodes' generator
-columns, `secure.column_ranks`, which `secure.guaranteed_secure_set`
-shares.  Those ranks and observe's helper-span check read one memo per
-code, `MdsCode.pivots`, keyed by the observed position set, so a sweep
-eliminates once per distinct set of generator columns, not once per
-spec.  Type 1 nodes with column rank u1
+columns, `secure.column_ranks`, which `observe` records.  Reports and
+sweep rows read the one guarantee predicate, every node protected and
+u' = |nodes|, from the same record.  Those ranks and observe's
+helper-span check read one memo per code, `MdsCode.pivots`, keyed by the
+observed position set, so a sweep eliminates once per distinct set of
+generator columns, not once per spec.  Type 1 nodes with column rank u1
 expose F^k (x) U1, Type 2 nodes with column rank u2 expose U2 (x) F^k,
 and the two meet in U2 (x) U1, so
 
@@ -58,7 +59,7 @@ from .errors import (
 )
 from .field import FieldMatrix, _pivot_columns
 from .framework import TwinConfig, TwinSystem, default_helpers, opposite_type
-from .secure import SecureLayout, column_ranks, guaranteed_secure_set
+from .secure import SecureLayout, column_ranks, zero_leakage_guaranteed
 
 
 @dataclass(frozen=True)
@@ -314,16 +315,17 @@ def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:
     return max(mi, 0.0)
 
 
+def _verdict(obs: Observation) -> dict:
+    """Rank, leakage and the zero-leakage guarantee of one observation."""
+    return {"rank": independent_symbol_count(obs), "leakage": leakage(obs),
+            "guaranteed": zero_leakage_guaranteed(obs.nodes, obs.column_ranks)}
+
+
 def eavesdrop_report(system: TwinSystem, layout: SecureLayout,
                      spec: EavesdropperSpec, repair_plans=None) -> dict:
     """JSON-ready report for one eavesdropper spec: what it observes
     (`observe`), what leaks, and whether zero leakage is guaranteed."""
     obs = observe(system, layout, spec, repair_plans)
-    return {
-        "spec": spec.to_json_dict(),
-        "rank": independent_symbol_count(obs),
-        "leakage": leakage(obs),
-        "revealed": sorted(revealed_symbols(obs), key=lambda s: (s[0], int(s[1:]))),
-        "guaranteed": guaranteed_secure_set(system.config, layout,
-                                            spec.e1, spec.e2).guaranteed,
-    }
+    return {"spec": spec.to_json_dict(), **_verdict(obs),
+            "revealed": sorted(revealed_symbols(obs),
+                               key=lambda s: (s[0], int(s[1:])))}

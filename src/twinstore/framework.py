@@ -221,6 +221,7 @@ class TwinSystem:
     live2: tuple
 
     def _family(self, node_type: int):
+        opposite_type(node_type)  # validates node_type
         return (self.nodes1, self.live1) if node_type == 1 else (self.nodes2, self.live2)
 
     def node(self, node_type: int, index: int) -> NodeContent:
@@ -244,9 +245,13 @@ class TwinSystem:
         return tuple(j + 1 for j, ok in enumerate(live) if ok)
 
     def with_node(self, node_type: int, index: int, symbols, live: bool) -> "TwinSystem":
-        content = NodeContent(node_type=node_type, node_index=index,
-                              symbols=None if symbols is None
-                              else self.config.field.reduce(symbols))
+        self.node(node_type, index)  # type and range check
+        if symbols is not None:
+            symbols = self.config.field.reduce(symbols)
+            if symbols.shape != (self.config.k,):
+                raise DimensionMismatch(f"a node stores k={self.config.k} "
+                                        f"symbols, got shape {symbols.shape}")
+        content = NodeContent(node_type, index, symbols)
         nodes, lives = self._family(node_type)
         nodes = nodes[:index - 1] + (content,) + nodes[index:]
         lives = lives[:index - 1] + (live,) + lives[index:]
@@ -325,7 +330,6 @@ def empty_system(config: TwinConfig) -> TwinSystem:
 
 def fail_node(system: TwinSystem, node_type: int, index: int) -> TwinSystem:
     """Crash-only failure: liveness drops and the stored content is erased."""
-    system.node(node_type, index)  # range check
     return system.with_node(node_type, index, None, live=False)
 
 

@@ -14,13 +14,13 @@ random rows instead.  A layout therefore commits to a protected type
 sets of the other type generally leak, which the leakage oracle reports
 honestly.
 
-The zero-leakage guarantee is deliberately conservative: every
-eavesdropped node must belong to the protected type, and the submatrix
-of that type's generator formed by the first l rows and the eavesdropped
-columns must have full column rank.  Full-Vandermonde generators satisfy
-the rank condition for every subset of the protected type, which is why
-they are the default style for secure systems; anything outside the
-predicate should be measured with the leakage oracle instead.
+The zero-leakage guarantee is deliberately conservative, one predicate
+that reports and sweep rows read from the observation: every node
+protected and u' = |nodes|, i.e. every eavesdropped node is of the
+protected type and the first l rows of that type's generator at the
+eavesdropped columns have full column rank.  Full-Vandermonde generators
+satisfy that for every set of at most l protected nodes, so they are the
+default style for secure systems; the leakage oracle measures the rest.
 """
 
 from __future__ import annotations
@@ -154,6 +154,14 @@ class SecrecyGuarantee:
     reason: GuaranteeReason
 
 
+def zero_leakage_guaranteed(nodes, ranks) -> bool:
+    """Every node protected and u' = |nodes|, for the nodes' `column_ranks`
+    (u, u', v).  u' counts only protected-type pivots in the first l rows,
+    so u' = |nodes| alone says that every node is protected (hence v = 0)
+    and that |nodes| <= l; the empty set passes with u' = 0."""
+    return ranks[1] == len(nodes)
+
+
 def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
                           e1_nodes, e2_nodes) -> SecrecyGuarantee:
     """Decide whether zero leakage is guaranteed for the eavesdropped sets.
@@ -161,29 +169,19 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     e1_nodes / e2_nodes are iterables of (type, index) pairs: storage reads
     and observed repairs.  An observed repair exposes exactly the row space
     of the repaired node's content, so both sets reduce to generator columns.
-    Sufficient, not necessary: every node must belong to the layout's
-    protected type and the first-l-rows generator submatrix must have full
-    column rank, i.e. `column_ranks` reads u' = |nodes| and v = 0.
-    Returns NotGuaranteed (never raises) outside that region.
+    Sufficient, not necessary: `zero_leakage_guaranteed`.  Returns
+    NotGuaranteed (never raises) for a repeated node, a node outside the
+    protected type or its code, or a set the predicate rejects.
     """
-    nodes = [(int(t), int(j)) for t, j in e1_nodes] + \
-            [(int(t), int(j)) for t, j in e2_nodes]
-    not_guaranteed = SecrecyGuarantee(False, GuaranteeReason.NOT_GUARANTEED)
-    if len(nodes) != len(set(nodes)):
-        return not_guaranteed
-    if len(nodes) > layout.budget:
-        return not_guaranteed  # over the layout's randomization budget
-    if not nodes:
-        return SecrecyGuarantee(True, GuaranteeReason.ALL_SAME_TYPE_WITHIN_BUDGET)
-    types = {t for t, _ in nodes}
-    if len(types) != 1 or types.pop() != layout.protected_type:
-        return not_guaranteed
-    code = config.code_for(layout.protected_type)
-    if any(not 1 <= j <= code.n for _, j in nodes):
-        return not_guaranteed
-    if column_ranks(config, layout, nodes)[1:] != (len(nodes), 0):
-        return not_guaranteed
-    reason = (GuaranteeReason.ALL_SAME_TYPE_WITHIN_BUDGET
-              if code.style == "vandermonde"
-              else GuaranteeReason.SUBMATRIX_FULL_RANK)
+    nodes = [(int(t), int(j)) for t, j in (*e1_nodes, *e2_nodes)]
+    own = layout.protected_type
+    code = config.code_for(own)
+    if (len(set(nodes)) != len(nodes)
+            or any(t != own or not 1 <= j <= code.n for t, j in nodes)
+            or not zero_leakage_guaranteed(
+                nodes, column_ranks(config, layout, nodes))):
+        return SecrecyGuarantee(False, GuaranteeReason.NOT_GUARANTEED)
+    reason = (GuaranteeReason.SUBMATRIX_FULL_RANK
+              if nodes and code.style != "vandermonde"
+              else GuaranteeReason.ALL_SAME_TYPE_WITHIN_BUDGET)
     return SecrecyGuarantee(True, reason)

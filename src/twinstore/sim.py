@@ -24,13 +24,7 @@ from math import comb
 import numpy as np
 
 from . import framework, loader
-from .eavesdrop import (
-    EavesdropperSpec,
-    eavesdrop_report,
-    independent_symbol_count,
-    leakage,
-    observe,
-)
+from .eavesdrop import EavesdropperSpec, _verdict, eavesdrop_report, observe
 from .errors import (
     MalformedInput,
     MalformedScenario,
@@ -39,7 +33,7 @@ from .errors import (
     WrongHelperType,
 )
 from .framework import TwinConfig, TwinSystem, opposite_type
-from .secure import SecureLayout, guaranteed_secure_set
+from .secure import SecureLayout
 
 
 # ----------------------------------------------------------------------
@@ -279,13 +273,14 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     helpers = {t: framework.default_helpers(system, t) for t in (1, 2)}
     rng = np.random.default_rng(seed)
 
+    # specs are built sorted and disjoint, as EavesdropperSpec.of makes them
     def spec_iter():
         for l1, l2 in splits:
             if exhaustive:
                 for e1 in combinations(nodes, l1):
                     rest = [x for x in nodes if x not in e1]
                     for e2 in combinations(rest, l2):
-                        yield l1, l2, EavesdropperSpec.of(e1, e2)
+                        yield l1, l2, EavesdropperSpec(e1=e1, e2=e2)
             else:
                 count = comb(n, l1) * comb(n - l1, l2)
                 seen = set()
@@ -297,22 +292,14 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
                     if (e1, e2) in seen:
                         continue
                     seen.add((e1, e2))
-                    yield l1, l2, EavesdropperSpec.of(e1, e2)
+                    yield l1, l2, EavesdropperSpec(e1=e1, e2=e2)
 
     rows = []
     worst = {}
     for l1, l2, spec in spec_iter():
-        obs = observe(system, layout, spec, {n: helpers[n[0]] for n in spec.e2})
-        leak = leakage(obs)
-        rows.append({
-            "e1": [list(x) for x in spec.e1],
-            "e2": [list(x) for x in spec.e2],
-            "l1": l1, "l2": l2,
-            "rank": independent_symbol_count(obs),
-            "leakage": leak,
-            "guaranteed": guaranteed_secure_set(config, layout,
-                                                spec.e1, spec.e2).guaranteed,
-        })
-        worst[(l1, l2)] = max(worst.get((l1, l2), 0), leak)
+        verdict = _verdict(observe(system, layout, spec,
+                                   {n: helpers[n[0]] for n in spec.e2}))
+        rows.append({**spec.to_json_dict(), "l1": l1, "l2": l2, **verdict})
+        worst[(l1, l2)] = max(worst.get((l1, l2), 0), verdict["leakage"])
     return SweepResult(rows=tuple(rows), worst_leakage=worst,
                        exhaustive=exhaustive)

@@ -199,6 +199,16 @@ class TestEavesdrop:
         assert report["leakage"] == 2
         assert report["guaranteed"] is False
 
+    @pytest.mark.filterwarnings("default:.*recommended 2k-1.*:UserWarning")
+    def test_connectivity_advisory_is_one_warning_line(self, capsys):
+        assert main(["eavesdrop", "--q", "11", "--n1", "3", "--n2", "3",
+                     "--k", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: n1=3, n2=3 below the recommended 2k-1=5 connectivity; "
+            "repair stays correct but availability margins shrink\n")
+        assert json.loads(captured.out)["exhaustive"] is True
+
     def test_too_wide_explicit_generator_exits_1(self, tmp_path, capsys):
         f101 = PrimeField(101)
         doc = {"e1": [[1, 1]], "e2": [],

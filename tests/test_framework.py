@@ -211,6 +211,26 @@ class TestReconstruct:
             reconstruct(failed, 2, [1, 2, 3, 4])
 
 
+class TestNodeReferences:
+    """Every node access names type 1 or 2 and an index inside its family."""
+
+    @pytest.mark.parametrize("access, error", [
+        (lambda s: fail_node(s, 3, 1), ValueError),
+        (lambda s: fail_node(s, 0, 1), ValueError),
+        (lambda s: s.node(7, 2), ValueError),
+        (lambda s: s.is_live(3, 1), ValueError),
+        (lambda s: s.with_node(1, 0, None, live=False), DimensionMismatch),
+        (lambda s: s.with_node(1, -2, None, live=False), DimensionMismatch),
+        (lambda s: s.with_node(1, 6, None, live=False), DimensionMismatch),
+        (lambda s: s.with_node(2, 1, [1, 2, 3], live=True), DimensionMismatch),
+        (lambda s: s.with_node(2, 1, np.ones((4, 1)), live=True),
+         DimensionMismatch),
+    ])
+    def test_rejected(self, demo_system, access, error):
+        with pytest.raises(error):
+            access(demo_system)
+
+
 class TestValueEquality:
     """Array-holding records compare by value and refuse to hash."""
 

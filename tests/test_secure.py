@@ -121,6 +121,28 @@ class TestGuarantee:
                                   [(1, 1), (1, 2)], [(1, 3)])
         assert not g.guaranteed
 
+    @pytest.mark.parametrize("e1, e2", [
+        ([(1, 1), (1, 1)], []),           # a repeated node
+        ([(1, 1)], [(1, 1)]),             # read and repair of one node
+        ([(1, 0)], []),                   # index 0
+        ([(1, 6)], []),                   # index n1 + 1
+        ([(0, 1)], []),                   # node type 0
+        ([(3, 1)], []),                   # node type 3
+        ([(1, 1), (1, 2), (1, 4)], []),   # more protected nodes than l = 2
+    ])
+    def test_guards_never_raise(self, demo_config, demo_layout, e1, e2):
+        g = guaranteed_secure_set(demo_config, demo_layout, e1, e2)
+        assert not g.guaranteed
+        assert g.reason is GuaranteeReason.NOT_GUARANTEED
+
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
+    def test_empty_set_guaranteed(self, f11, style):
+        config = build_config(f11, 5, 6, 4, style=style)
+        layout = make_secure_layout([0] * 8, 2, 0, 4, f11)
+        g = guaranteed_secure_set(config, layout, [], [])
+        assert g.guaranteed
+        assert g.reason is GuaranteeReason.ALL_SAME_TYPE_WITHIN_BUDGET
+
     def test_vandermonde_all_same_type_pairs(self, f11):
         # exhaustive over both orientations for n1, n2 <= 11 (F_11's points)
         for n1, n2 in [(5, 6), (8, 11)]:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from twinstore import (
+    EavesdropperSpec,
     PrimeField,
+    default_repair_plans,
+    eavesdrop_report,
     encode_system,
+    guaranteed_secure_set,
     load_scenario,
     run,
     scenario_from_json,
@@ -310,6 +314,26 @@ class TestSweep:
         assert type1_rows
         assert all(r["leakage"] == 0 for r in type1_rows)
         assert all(r["guaranteed"] for r in type1_rows)
+
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
+    @pytest.mark.parametrize("protected_type", [1, 2])
+    def test_rows_agree_with_reports(self, f11, style, protected_type):
+        config = build_config(f11, 5, 6, 4, style=style)
+        layout = make_secure_layout([0] * 8, 1, 1, 4, f11,
+                                    protected_type=protected_type)
+        system = encode_system(config, layout.matrix)
+        result = sweep_eavesdroppers(config, layout, max_budget=2)
+        assert any(row["l2"] >= 1 for row in result.rows)
+        for row in result.rows:
+            spec = EavesdropperSpec.of(row["e1"], row["e2"])
+            report = eavesdrop_report(system, layout, spec,
+                                      default_repair_plans(system, spec))
+            assert report["spec"] == {"e1": row["e1"], "e2": row["e2"]}
+            for key in ("rank", "leakage", "guaranteed"):
+                assert row[key] == report[key], (row, report)
+            assert row["guaranteed"] == guaranteed_secure_set(
+                config, layout, spec.e1, spec.e2).guaranteed
+        assert 0 < sum(row["guaranteed"] for row in result.rows) < len(result.rows)
 
     def test_budget_zero_single_row(self, demo_config, demo_layout):
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=0)
