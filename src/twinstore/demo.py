@@ -116,7 +116,7 @@ def build_demo_config(g1=None, g2=None) -> TwinConfig:
     field = PrimeField(DEMO_Q)
     code1 = mds.load_explicit(FieldMatrix(DEMO_G1 if g1 is None else g1, field))
     code2 = mds.load_explicit(FieldMatrix(DEMO_G2 if g2 is None else g2, field))
-    return TwinConfig.from_codes(code1, code2)
+    return TwinConfig(code1, code2)
 
 
 def build_demo_layout(seed: int = 7, payload=None):

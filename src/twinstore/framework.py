@@ -7,7 +7,9 @@ message; a failed node of one type is regenerated from any k nodes of
 the *other* type, each contributing a single symbol (the dot product of
 its stored column with the failed node's encoding vector).
 
-Systems are immutable values: mutating operations return a new TwinSystem.
+A config is its two codes, and a node is live exactly when it holds
+symbols: failing a node erases them.  Systems are immutable values:
+mutating operations return a new TwinSystem.
 Node indices are 1-based on this module's surface.
 """
 
@@ -62,26 +64,20 @@ class EncodingVector:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TwinConfig:
-    """Field, node counts, dimension and the two constituent MDS codes."""
+    """The two constituent MDS codes; field, node counts and k are theirs."""
 
-    field: PrimeField
-    n1: int
-    n2: int
-    k: int
     code1: MdsCode
     code2: MdsCode
 
     def __post_init__(self):
-        for i, code, n in ((1, self.code1, self.n1), (2, self.code2, self.n2)):
-            if code.field != self.field:
-                raise FieldMismatch(f"code{i} is over F_{code.field.p}, "
-                                    f"config over F_{self.field.p}")
-            if (code.n, code.k) != (n, self.k):
-                raise DimensionMismatch(
-                    f"code{i} is ({code.n},{code.k}), expected ({n},{self.k})"
-                )
+        if self.code1.field != self.code2.field:
+            raise FieldMismatch(f"code1 is over F_{self.code1.field.p}, "
+                                f"code2 over F_{self.code2.field.p}")
+        if self.code1.k != self.code2.k:
+            raise DimensionMismatch(f"code1 has k={self.code1.k}, "
+                                    f"code2 has k={self.code2.k}")
         if self.n1 < self.k or self.n2 < self.k:
             raise DimensionMismatch(
                 f"need n1, n2 >= k for repair/reconstruction, got "
@@ -89,7 +85,7 @@ class TwinConfig:
             )
         if not self.meets_recommended_connectivity:
             # name the caller: past the generated __init__ and, when built
-            # by build or from_codes, past their frame in this module
+            # by build, past its frame in this module
             level = 3 + (sys._getframe(2).f_code.co_filename == __file__)
             warnings.warn(
                 f"n1={self.n1}, n2={self.n2} below the recommended "
@@ -103,13 +99,23 @@ class TwinConfig:
         maker = MAKERS.get(style)
         if maker is None:
             raise ValueError(f"unknown style {style!r}")
-        return cls(field=field, n1=n1, n2=n2, k=k,
-                   code1=maker(n1, k, field), code2=maker(n2, k, field))
+        return cls(maker(n1, k, field), maker(n2, k, field))
 
-    @classmethod
-    def from_codes(cls, code1: MdsCode, code2: MdsCode) -> "TwinConfig":
-        return cls(field=code1.field, n1=code1.n, n2=code2.n, k=code1.k,
-                   code1=code1, code2=code2)
+    @property
+    def field(self) -> PrimeField:
+        return self.code1.field
+
+    @property
+    def n1(self) -> int:
+        return self.code1.n
+
+    @property
+    def n2(self) -> int:
+        return self.code2.n
+
+    @property
+    def k(self) -> int:
+        return self.code1.k
 
     @property
     def n(self) -> int:
@@ -120,11 +126,12 @@ class TwinConfig:
         """Advisory flag: both families at the 2k-1 availability regime."""
         return self.n1 >= 2 * self.k - 1 and self.n2 >= 2 * self.k - 1
 
-    def node_count(self, node_type: int) -> int:
-        return self.n1 if node_type == 1 else self.n2
-
     def code_for(self, node_type: int) -> MdsCode:
+        opposite_type(node_type)  # validates node_type
         return self.code1 if node_type == 1 else self.code2
+
+    def node_count(self, node_type: int) -> int:
+        return self.code_for(node_type).n
 
     def encoding_vector(self, node_type: int, node_index: int) -> EncodingVector:
         code = self.code_for(node_type)
@@ -132,22 +139,12 @@ class TwinConfig:
                               coefficients=code.encoding_vector(node_index),
                               field=self.field)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwinConfig)
-            and (self.n1, self.n2, self.k) == (other.n1, other.n2, other.k)
-            and self.field == other.field
-            and self.code1 == other.code1
-            and self.code2 == other.code2
-        )
-
 
 @dataclass(frozen=True)
 class MessageMatrix:
     """k x k message matrix; the transposed view feeds the Type 2 family."""
 
     a1: FieldMatrix
-    pad: int = 0  # trailing zero symbols appended to a short payload
 
     def __post_init__(self):
         if self.a1.rows != self.a1.cols:
@@ -166,15 +163,11 @@ class MessageMatrix:
         """Column-major source vector: coordinate c*k + t holds entry (t, c)."""
         return self.a1.array.flatten(order="F")
 
-    def __eq__(self, other):
-        return NotImplemented  # compare .a1 explicitly; pad is out-of-band
-
 
 def build_message_matrix(payload, k: int, field: PrimeField) -> MessageMatrix:
     """Arrange up to k*k symbols column-major into a message matrix.
 
-    Shorter payloads are zero-padded; the pad length is recorded so the
-    caller can strip it after reconstruction.  Longer payloads must be
+    Shorter payloads are zero-padded.  Longer payloads must be
     fragmented into k*k pieces by the caller.
     """
     vals = field.reduce(payload).ravel()
@@ -182,15 +175,14 @@ def build_message_matrix(payload, k: int, field: PrimeField) -> MessageMatrix:
         raise PayloadTooLarge(
             f"payload of {vals.size} symbols exceeds k^2 = {k * k}; fragment it"
         )
-    pad = k * k - vals.size
-    full = np.concatenate([vals, np.zeros(pad, dtype=np.int64)])
-    return MessageMatrix(a1=FieldMatrix(full.reshape((k, k), order="F"), field),
-                         pad=pad)
+    full = np.concatenate([vals, np.zeros(k * k - vals.size, dtype=np.int64)])
+    return MessageMatrix(a1=FieldMatrix(full.reshape((k, k), order="F"), field))
 
 
 @dataclass(frozen=True, eq=False)
 class NodeContent:
-    """Stored symbols of one node; symbols is None while the node is empty."""
+    """Stored symbols of one node; symbols is None exactly while the node
+    is failed (not live)."""
 
     node_type: int
     node_index: int
@@ -210,41 +202,36 @@ class NodeContent:
         return bool(np.array_equal(self.symbols, other.symbols))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TwinSystem:
-    """Immutable snapshot of every node's contents and liveness."""
+    """Immutable snapshot of every node's contents.  A node is live
+    exactly when it holds symbols; live1/live2 are derived from that."""
 
     config: TwinConfig
     nodes1: tuple
     nodes2: tuple
-    live1: tuple
-    live2: tuple
 
-    def _family(self, node_type: int):
-        opposite_type(node_type)  # validates node_type
-        return (self.nodes1, self.live1) if node_type == 1 else (self.nodes2, self.live2)
+    @property
+    def live1(self) -> tuple:
+        return tuple(nc.symbols is not None for nc in self.nodes1)
+
+    @property
+    def live2(self) -> tuple:
+        return tuple(nc.symbols is not None for nc in self.nodes2)
 
     def node(self, node_type: int, index: int) -> NodeContent:
-        nodes, _ = self._family(node_type)
-        if not 1 <= index <= len(nodes):
+        count = self.config.node_count(node_type)  # validates node_type
+        if not 1 <= index <= count:
             raise DimensionMismatch(
-                f"type {node_type} has nodes 1..{len(nodes)}, got {index}"
+                f"type {node_type} has nodes 1..{count}, got {index}"
             )
-        return nodes[index - 1]
+        return (self.nodes1 if node_type == 1 else self.nodes2)[index - 1]
 
     def is_live(self, node_type: int, index: int) -> bool:
-        _, live = self._family(node_type)
-        if not 1 <= index <= len(live):
-            raise DimensionMismatch(
-                f"type {node_type} has nodes 1..{len(live)}, got {index}"
-            )
-        return live[index - 1]
+        return not self.node(node_type, index).is_empty
 
-    def live_indices(self, node_type: int) -> tuple:
-        _, live = self._family(node_type)
-        return tuple(j + 1 for j, ok in enumerate(live) if ok)
-
-    def with_node(self, node_type: int, index: int, symbols, live: bool) -> "TwinSystem":
+    def with_node(self, node_type: int, index: int, symbols) -> "TwinSystem":
+        """The system with one node's symbols replaced; None fails it."""
         self.node(node_type, index)  # type and range check
         if symbols is not None:
             symbols = self.config.field.reduce(symbols)
@@ -252,32 +239,21 @@ class TwinSystem:
                 raise DimensionMismatch(f"a node stores k={self.config.k} "
                                         f"symbols, got shape {symbols.shape}")
         content = NodeContent(node_type, index, symbols)
-        nodes, lives = self._family(node_type)
+        nodes = self.nodes1 if node_type == 1 else self.nodes2
         nodes = nodes[:index - 1] + (content,) + nodes[index:]
-        lives = lives[:index - 1] + (live,) + lives[index:]
         if node_type == 1:
-            return replace(self, nodes1=nodes, live1=lives)
-        return replace(self, nodes2=nodes, live2=lives)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwinSystem)
-            and self.config == other.config
-            and self.live1 == other.live1
-            and self.live2 == other.live2
-            and self.nodes1 == other.nodes1
-            and self.nodes2 == other.nodes2
-        )
+            return replace(self, nodes1=nodes)
+        return replace(self, nodes2=nodes)
 
     # -------------------------------------------------------------- JSON
 
     def to_json_dict(self) -> dict:
-        def family(nodes, live):
+        def family(nodes):
             return [
                 {"index": nc.node_index,
                  "symbols": None if nc.symbols is None else nc.symbols.tolist(),
-                 "live": bool(alive)}
-                for nc, alive in zip(nodes, live)
+                 "live": nc.symbols is not None}
+                for nc in nodes
             ]
         cfg = self.config
         return {
@@ -285,8 +261,8 @@ class TwinSystem:
                 "q": cfg.field.p, "n1": cfg.n1, "n2": cfg.n2, "k": cfg.k,
                 "codes": [_code_doc(cfg.code1), _code_doc(cfg.code2)],
             },
-            "nodes": {"type1": family(self.nodes1, self.live1),
-                      "type2": family(self.nodes2, self.live2)},
+            "nodes": {"type1": family(self.nodes1),
+                      "type2": family(self.nodes2)},
         }
 
     @classmethod
@@ -317,20 +293,18 @@ def encode_system(config: TwinConfig, msg: MessageMatrix) -> TwinSystem:
                    for j in range(config.n1))
     nodes2 = tuple(NodeContent(2, j + 1, spread2[:, j].copy())
                    for j in range(config.n2))
-    return TwinSystem(config=config, nodes1=nodes1, nodes2=nodes2,
-                      live1=(True,) * config.n1, live2=(True,) * config.n2)
+    return TwinSystem(config=config, nodes1=nodes1, nodes2=nodes2)
 
 
 def empty_system(config: TwinConfig) -> TwinSystem:
     nodes1 = tuple(NodeContent(1, j + 1, None) for j in range(config.n1))
     nodes2 = tuple(NodeContent(2, j + 1, None) for j in range(config.n2))
-    return TwinSystem(config=config, nodes1=nodes1, nodes2=nodes2,
-                      live1=(False,) * config.n1, live2=(False,) * config.n2)
+    return TwinSystem(config=config, nodes1=nodes1, nodes2=nodes2)
 
 
 def fail_node(system: TwinSystem, node_type: int, index: int) -> TwinSystem:
-    """Crash-only failure: liveness drops and the stored content is erased."""
-    return system.with_node(node_type, index, None, live=False)
+    """Crash-only failure: the stored content is erased, so the node is not live."""
+    return system.with_node(node_type, index, None)
 
 
 def reconstruct(system: TwinSystem, node_type: int, indices) -> MessageMatrix:
@@ -349,7 +323,7 @@ def reconstruct(system: TwinSystem, node_type: int, indices) -> MessageMatrix:
     if len(idx) > system.config.k:
         raise DimensionMismatch(f"expected exactly k={system.config.k} nodes")
     for j in idx:
-        if not system.is_live(node_type, j) or system.node(node_type, j).is_empty:
+        if system.node(node_type, j).is_empty:
             raise DeadNode(f"type {node_type} node {j} holds no data")
     code = system.config.code_for(node_type)
     # row i: coordinate idx[i] of the k codewords spread from the rows of
@@ -382,9 +356,10 @@ def helper_share(helper: NodeContent, target: EncodingVector) -> int:
 
 
 def usable_nodes(system: TwinSystem, node_type: int) -> list:
-    """Ascending indices of the live nodes of one type that hold data."""
-    return [j for j in system.live_indices(node_type)
-            if not system.node(node_type, j).is_empty]
+    """Ascending indices of the nodes of one type that hold symbols."""
+    opposite_type(node_type)  # validates node_type
+    nodes = system.nodes1 if node_type == 1 else system.nodes2
+    return [nc.node_index for nc in nodes if not nc.is_empty]
 
 
 def default_helpers(system: TwinSystem, failed_type: int) -> tuple:
@@ -416,12 +391,12 @@ def repair(system: TwinSystem, failed_type: int, failed_index: int,
     for j in idx:
         if not 1 <= j <= system.config.node_count(helper_type):
             raise NotEnoughHelpers(f"helper index {j} out of range")
-        if not system.is_live(helper_type, j) or system.node(helper_type, j).is_empty:
+        if system.node(helper_type, j).is_empty:
             raise NotEnoughHelpers(f"helper type {helper_type} node {j} holds no data")
     target = system.config.encoding_vector(failed_type, failed_index)
     shares = [helper_share(system.node(helper_type, j), target) for j in idx]
     content = mds.erasure_decode(system.config.code_for(helper_type), idx, shares)
-    repaired = system.with_node(failed_type, failed_index, content, live=True)
+    repaired = system.with_node(failed_type, failed_index, content)
     return repaired, repaired.node(failed_type, failed_index)
 
 
@@ -446,8 +421,7 @@ def deploy(config: TwinConfig, msg: MessageMatrix, seed_type1, seed_type2) -> Tw
     system = empty_system(config)
     for node_type, idx in seeds.items():
         for j in idx:
-            system = system.with_node(node_type, j,
-                                      full.node(node_type, j).symbols, live=True)
+            system = system.with_node(node_type, j, full.node(node_type, j).symbols)
     pending = {
         node_type: [j for j in range(1, config.node_count(node_type) + 1)
                     if j not in seeds[node_type]]

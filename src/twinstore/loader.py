@@ -126,9 +126,10 @@ def config(doc, style=None) -> TwinConfig:
     """Config document -> TwinConfig; `style` overrides the document's.
 
     {"q", "n1", "n2", "k", "style"} builds both codes from the style.
-    Style "explicit" reads "generator1"/"generator2" generator documents;
-    any of the four sizes given must match them.  Style "stored" reads a
-    snapshot's config, whose "codes" carry their own (see _stored_code).
+    Style "explicit" reads "generator1"/"generator2" generator documents,
+    and style "stored" a snapshot's config, whose "codes" carry their own
+    (see _stored_code) beside all four sizes.  Either way, every size the
+    document declares must match the codes.
     """
     doc = as_object(doc, "config")
     if style is None:  # "stored" is for snapshots only
@@ -136,19 +137,20 @@ def config(doc, style=None) -> TwinConfig:
         _check(style in (*MAKERS, "explicit"), "style", style, "one of "
                + ", ".join((*MAKERS, "explicit")))
     if style == "explicit":
-        built = TwinConfig.from_codes(*(code(_get(doc, key, "explicit config"), key)
-                                        for key in ("generator1", "generator2")))
-        actual = {"q": built.field.p, "n1": built.n1, "n2": built.n2, "k": built.k}
-        if any(integer(doc[key], key) != actual[key] for key in actual if key in doc):
-            raise MalformedInput("declared sizes do not match the generator documents")
-        return built
-    field = _field(_get(doc, "q", "config"), "q")
-    n1, n2, k = (integer(_get(doc, key, "config"), key) for key in ("n1", "n2", "k"))
-    if style == "stored":
+        built = TwinConfig(*(code(_get(doc, key, "explicit config"), key)
+                             for key in ("generator1", "generator2")))
+    else:
+        field = _field(_get(doc, "q", "config"), "q")
+        n1, n2, k = (integer(_get(doc, key, "config"), key) for key in ("n1", "n2", "k"))
+        if style != "stored":
+            return TwinConfig.build(field, n1, n2, k, style=style)
         codes = as_list(_get(doc, "codes", "config"), "codes")
         _check(len(codes) == 2, "codes", codes, "two code documents")
-        return TwinConfig(field, n1, n2, k, *(_stored_code(c, field) for c in codes))
-    return TwinConfig.build(field, n1, n2, k, style=style)
+        built = TwinConfig(*(_stored_code(c, field) for c in codes))
+    actual = {"q": built.field.p, "n1": built.n1, "n2": built.n2, "k": built.k}
+    if any(integer(doc[key], key) != actual[key] for key in actual if key in doc):
+        raise MalformedInput("declared sizes do not match the codes")
+    return built
 
 
 def payload(doc) -> list:
@@ -187,7 +189,8 @@ def spec(doc, config: TwinConfig) -> EavesdropperSpec:
 
 def snapshot(doc) -> TwinSystem:
     """{"config", "nodes": {"type1": [...], "type2": [...]}}, one entry
-    {"index", "symbols", "live"} per node in index order."""
+    {"index", "symbols", "live"} per node in index order; "live" is true
+    exactly when "symbols" is not null."""
     doc = as_object(doc, "snapshot")
     cfg = config(_get(doc, "config", "snapshot"), style="stored")
     families = as_object(_get(doc, "nodes", "snapshot"), "snapshot nodes")
@@ -202,12 +205,12 @@ def snapshot(doc) -> TwinSystem:
             _check(integer(_get(entry, "index", what), what) == slot, f"{what} index",
                    entry["index"], slot)
             syms = _get(entry, "symbols", what)
+            live = _get(entry, "live", what)
+            _check(live is (syms is not None), f"{what} live", live,
+                   "true exactly when symbols are given")
             if syms is not None:
                 syms = [integer(x, f"{what} symbol") for x in as_list(syms, what)]
                 _check(len(syms) == cfg.k, what, syms, f"{cfg.k} symbols")
                 syms = cfg.field.reduce(syms)
-            live = _get(entry, "live", what)
-            _check(isinstance(live, bool), f"{what} live", live, "true or false")
-            parts[t].append((NodeContent(t, slot, syms), live))
-    (nodes1, live1), (nodes2, live2) = (zip(*parts[t]) for t in (1, 2))
-    return TwinSystem(cfg, nodes1, nodes2, live1, live2)
+            parts[t].append(NodeContent(t, slot, syms))
+    return TwinSystem(cfg, tuple(parts[1]), tuple(parts[2]))

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadPayloadLength, BudgetExceeded
+from .errors import BadPayloadLength, BudgetExceeded, DimensionMismatch, FieldMismatch
 from .field import FieldMatrix, PrimeField
 from .framework import MessageMatrix, TwinConfig, opposite_type
 
@@ -123,6 +123,11 @@ def make_secure_layout(payload, l1: int, l2: int, k: int, field: PrimeField,
 
 def recover_payload(layout: SecureLayout, msg: MessageMatrix) -> np.ndarray:
     """Strip the random band from a reconstructed message matrix."""
+    if msg.k != layout.k:
+        raise DimensionMismatch(f"message is {msg.k}x{msg.k}, layout wants k={layout.k}")
+    if msg.a1.field != layout.field:
+        raise FieldMismatch(f"message over F_{msg.a1.field.p}, "
+                            f"layout over F_{layout.field.p}")
     block = msg.a1.array if layout.protected_type == 1 else msg.a1.array.T
     return block.flatten(order="F")[layout.k * layout.budget:]
 

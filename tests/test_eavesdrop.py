@@ -253,15 +253,60 @@ def _random_spec(rng, config, size):
     return spec, plans
 
 
+def batched_ranks(stack, p):
+    """Rank over F_p of each matrix in a (b, rows, cols) stack: one
+    Gaussian elimination run on all b at once, each matrix with its own
+    pivot row.  Rows are cleared by cross multiplication (row * lead -
+    factor * pivot row), which keeps every rank and needs no inverse."""
+    m = np.asarray(stack, dtype=np.int64) % p
+    rank = np.zeros(m.shape[0], dtype=np.int64)
+    row_ids = np.arange(m.shape[1])
+    for c in range(m.shape[2]):
+        candidates = (m[:, :, c] != 0) & (row_ids >= rank[:, None])
+        sel = np.nonzero(candidates.any(axis=1))[0]
+        if sel.size == 0:
+            continue
+        r = rank[sel]
+        found = candidates[sel].argmax(axis=1)  # first nonzero at or below r
+        pivot = m[sel, found]
+        m[sel, found] = m[sel, r]
+        m[sel, r] = pivot
+        factors = m[sel, :, c] * (row_ids > r[:, None])
+        m[sel] = (m[sel] * pivot[:, c, None, None]
+                  - factors[:, :, None] * pivot[:, None, :]) % p
+        rank[sel] += 1
+    return rank
+
+
 def revealed_by_row_space(obs):
     """Reference revealed set: e_i lies in the row space of M iff appending
-    it as a row leaves rank(M) unchanged, one coordinate at a time."""
+    it as a row leaves rank(M) unchanged.  [M; 0] and every [M; e_i] are
+    ranked together in one `batched_ranks` elimination."""
     n = obs.config.k ** 2
-    rank = obs.matrix.rank()
-    units = np.eye(n, dtype=np.int64)
-    return {obs.layout.label(i) for i in range(n)
-            if vstack([obs.matrix, FieldMatrix(units[i:i + 1], obs.matrix.field)]
-                      ).rank() == rank}
+    stack = np.zeros((n + 1, obs.matrix.rows + 1, n), dtype=np.int64)
+    stack[:, :-1] = obs.matrix.array
+    stack[1:, -1] = np.eye(n, dtype=np.int64)
+    ranks = batched_ranks(stack, obs.matrix.field.p)
+    return {obs.layout.label(i) for i in range(n) if ranks[i + 1] == ranks[0]}
+
+
+class TestBatchedRanks:
+    @pytest.mark.parametrize("p", [11, 101, 2**31 - 1])
+    def test_match_field_rank(self, p):
+        # products of random (rows x inner) and (inner x cols) factors, some
+        # rows zeroed, so ranks below full are common
+        rng = np.random.default_rng(p % 1000)
+        field = PrimeField(p)
+        for _ in range(40):
+            b, rows, cols = (int(x) for x in rng.integers(1, 9, size=3))
+            inner = int(rng.integers(1, 9))
+            stack = np.stack([
+                (FieldMatrix(field.uniform(rng, (rows, inner)), field)
+                 @ FieldMatrix(field.uniform(rng, (inner, cols)), field)).array
+                for _ in range(b)])
+            stack[rng.random((b, rows)) < 0.2] = 0
+            assert batched_ranks(stack, p).tolist() == [
+                FieldMatrix(s, field).rank() for s in stack], (b, rows, cols, inner)
 
 
 class TestClosedFormLeakage:
@@ -311,7 +356,7 @@ class TestClosedFormLeakage:
         gen[:, 2] = gen[:, 1]
         bad = MdsCode(n=5, k=3, field=f11, generator=FieldMatrix(gen, f11),
                       style="explicit")
-        config = TwinConfig.from_codes(bad, make_vandermonde(5, 3, f11))
+        config = TwinConfig(bad, make_vandermonde(5, 3, f11))
         layout = make_secure_layout(list(range(6)), 0, 1, 3, f11, seed=4)
         system = encode_system(config, layout.matrix)
         with pytest.raises(SingularSubmatrix):
@@ -346,7 +391,7 @@ class TestClosedFormLeakage:
                 codes.append(MdsCode(n=int(n), k=k, field=field,
                                      generator=FieldMatrix(gen, field),
                                      style="explicit"))
-            config = TwinConfig.from_codes(*codes)
+            config = TwinConfig(*codes)
             l1 = int(rng.integers(0, k))
             l2 = int(rng.integers(0, k - l1))
             layout = make_secure_layout(

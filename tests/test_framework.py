@@ -43,17 +43,14 @@ class TestMessageMatrix:
         msg = build_message_matrix(list(range(1, 17)), 4, f101)
         assert np.array_equal(msg.a1.column(0), [1, 2, 3, 4])
         assert np.array_equal(msg.a1.column(3), [13, 14, 15, 16])
-        assert msg.pad == 0
 
     def test_short_payload_pads(self, f11):
         msg = build_message_matrix([7, 8, 9], 2, f11)
-        assert msg.pad == 1
         assert msg.a1.tolist() == [[7, 9], [8, 0]]
 
     def test_empty_payload(self, f11):
         msg = build_message_matrix([], 3, f11)
         assert msg.a1 == FieldMatrix.zeros(3, 3, f11)
-        assert msg.pad == 9
 
     def test_oversized_payload(self, f11):
         with pytest.raises(PayloadTooLarge):
@@ -113,13 +110,10 @@ class TestEncodeSystem:
     def test_connectivity_warning_names_the_building_line(self, f11):
         codes = [mds.make_vandermonde(n, 4, f11) for n in (5, 6)]
         with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
-            TwinConfig(f11, 5, 6, 4, *codes)
+            TwinConfig(*codes)
         assert [w.filename for w in caught] == [__file__]
         with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
             TwinConfig.build(f11, 5, 6, 4)
-        assert [w.filename for w in caught] == [__file__]
-        with pytest.warns(UserWarning, match="below the recommended 2k-1=7") as caught:
-            TwinConfig.from_codes(*codes)
         assert [w.filename for w in caught] == [__file__]
 
 
@@ -219,12 +213,16 @@ class TestNodeReferences:
         (lambda s: fail_node(s, 0, 1), ValueError),
         (lambda s: s.node(7, 2), ValueError),
         (lambda s: s.is_live(3, 1), ValueError),
-        (lambda s: s.with_node(1, 0, None, live=False), DimensionMismatch),
-        (lambda s: s.with_node(1, -2, None, live=False), DimensionMismatch),
-        (lambda s: s.with_node(1, 6, None, live=False), DimensionMismatch),
-        (lambda s: s.with_node(2, 1, [1, 2, 3], live=True), DimensionMismatch),
-        (lambda s: s.with_node(2, 1, np.ones((4, 1)), live=True),
+        (lambda s: s.with_node(1, 0, None), DimensionMismatch),
+        (lambda s: s.with_node(1, -2, None), DimensionMismatch),
+        (lambda s: s.with_node(1, 6, None), DimensionMismatch),
+        (lambda s: s.with_node(2, 1, [1, 2, 3]), DimensionMismatch),
+        (lambda s: s.with_node(2, 1, np.ones((4, 1))),
          DimensionMismatch),
+        (lambda s: s.config.node_count(0), ValueError),
+        (lambda s: s.config.node_count(3), ValueError),
+        (lambda s: s.config.code_for(3), ValueError),
+        (lambda s: s.config.encoding_vector(3, 1), ValueError),
     ])
     def test_rejected(self, demo_system, access, error):
         with pytest.raises(error):
@@ -319,7 +317,7 @@ class TestRepair:
         for t in (1, 2):
             for j in range(1, target_cfg.node_count(t) + 1):
                 if (t, j) != (2, 3):
-                    stripped = stripped.with_node(t, j, np.zeros(4, dtype=int), True)
+                    stripped = stripped.with_node(t, j, np.zeros(4, dtype=int))
         assert helper_share(stripped.node(2, 3), target) == share_full
 
     def test_default_policy_uses_lowest_live(self, demo_system):
@@ -453,6 +451,10 @@ class TestSnapshotJson:
         lambda doc: doc["nodes"]["type2"][0].update(symbols=[1, 2, 3]),
         lambda doc: doc["nodes"]["type2"][0].update(symbols=[1, 2, 3, "4"]),
         lambda doc: doc["nodes"]["type1"][2].update(live=1),
+        lambda doc: doc["nodes"]["type1"][2].update(live=False),
+        lambda doc: doc["nodes"]["type2"][1].update(symbols=None),
+        lambda doc: doc["config"].update(n1=6),
+        lambda doc: doc["config"].update(k=3),
     ])
     def test_malformed_snapshot_refused(self, demo_system, damage):
         doc = json.loads(json.dumps(demo_system.to_json_dict()))

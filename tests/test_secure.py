@@ -9,6 +9,7 @@ from twinstore import (
     FieldMatrix,
     GuaranteeReason,
     PrimeField,
+    build_message_matrix,
     default_repair_plans,
     encode_system,
     guaranteed_secure_set,
@@ -21,7 +22,12 @@ from twinstore import (
 )
 from twinstore import loader
 from twinstore.demo import build_demo_layout
-from twinstore.errors import BadPayloadLength, BudgetExceeded
+from twinstore.errors import (
+    BadPayloadLength,
+    BudgetExceeded,
+    DimensionMismatch,
+    FieldMismatch,
+)
 from twinstore.secure import SecureLayout
 
 from conftest import build_config
@@ -296,3 +302,13 @@ class TestReconstructionStillWorks:
             for t in (1, 2):
                 rec = reconstruct(system, t, [2, 3, 5, 7])
                 assert np.array_equal(recover_payload(layout, rec), payload)
+
+    @pytest.mark.parametrize("payload, k, q, error", [
+        ([1, 2, 3], 2, 11, DimensionMismatch),
+        (list(range(16)), 4, 101, FieldMismatch),
+    ])
+    def test_mismatched_message_refused(self, payload, k, q, error):
+        # the demo layout is k = 4 over F_11
+        msg = build_message_matrix(payload, k, PrimeField(q))
+        with pytest.raises(error):
+            recover_payload(build_demo_layout(), msg)
