@@ -15,7 +15,12 @@ sweep rows read the one guarantee predicate, every node protected and
 u' = |nodes|, from the same record.  Those ranks and observe's
 helper-span check read one memo per code, `MdsCode.pivots`, keyed by the
 observed position set, so a sweep eliminates once per distinct set of
-generator columns, not once per spec.  Type 1 nodes with column rank u1
+generator columns, not once per spec.  A sweep also evaluates one verdict
+(`_verdict`) per distinct observed node set e1 | e2, not per spec: the
+ranks and the guarantee read only that set and its size, never how it
+splits into storage reads and observed repairs, because an observed
+repair through helpers that span F^k exposes exactly the repaired node's
+own space.  Type 1 nodes with column rank u1
 expose F^k (x) U1, Type 2 nodes with column rank u2 expose U2 (x) F^k,
 and the two meet in U2 (x) U1, so
 
@@ -53,6 +58,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    FieldMismatch,
     InstanceTooLarge,
     MissingRepairPlan,
     SingularSubmatrix,
@@ -164,7 +170,10 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     """
     config = system.config
     k = config.k
-    if layout.k != k or layout.field != config.field:
+    if layout.field != config.field:
+        raise FieldMismatch(f"layout over F_{layout.field.p}, "
+                            f"system over F_{config.field.p}")
+    if layout.k != k:
         raise DimensionMismatch("layout does not match the system configuration")
     if spec.budget >= k:
         raise BudgetExceeded(f"need |e1| + |e2| < k = {k}, got {spec.budget}")

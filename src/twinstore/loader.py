@@ -137,8 +137,8 @@ def config(doc, style=None) -> TwinConfig:
         _check(style in (*MAKERS, "explicit"), "style", style, "one of "
                + ", ".join((*MAKERS, "explicit")))
     if style == "explicit":
-        built = TwinConfig(*(code(_get(doc, key, "explicit config"), key)
-                             for key in ("generator1", "generator2")))
+        codes = [code(_get(doc, key, "explicit config"), key)
+                 for key in ("generator1", "generator2")]
     else:
         field = _field(_get(doc, "q", "config"), "q")
         n1, n2, k = (integer(_get(doc, key, "config"), key) for key in ("n1", "n2", "k"))
@@ -146,11 +146,15 @@ def config(doc, style=None) -> TwinConfig:
             return TwinConfig.build(field, n1, n2, k, style=style)
         codes = as_list(_get(doc, "codes", "config"), "codes")
         _check(len(codes) == 2, "codes", codes, "two code documents")
-        built = TwinConfig(*(_stored_code(c, field) for c in codes))
-    actual = {"q": built.field.p, "n1": built.n1, "n2": built.n2, "k": built.k}
-    if any(integer(doc[key], key) != actual[key] for key in actual if key in doc):
+        codes = [_stored_code(c, field) for c in codes]
+    # checked before TwinConfig, so codes that disagree with a declared
+    # size are malformed input rather than a domain error
+    code1, code2 = codes
+    actual = {"q": {code1.field.p, code2.field.p}, "n1": {code1.n},
+              "n2": {code2.n}, "k": {code1.k, code2.k}}
+    if any({integer(doc[key], key)} != actual[key] for key in actual if key in doc):
         raise MalformedInput("declared sizes do not match the codes")
-    return built
+    return TwinConfig(code1, code2)
 
 
 def payload(doc) -> list:

@@ -259,6 +259,17 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     Splits the budget into (l1, l2) pairs; when the total number of
     (e1, e2) choices exceeds enumeration_limit, each split is sampled
     with the given seed instead.
+
+    One verdict is evaluated per distinct observed node set e1 | e2 and
+    reused by every spec with that union.  That is exact: rank, leakage
+    and the guarantee read only `column_ranks` of the set and its size,
+    however it splits into storage reads and observed repairs.  Whether
+    `observe` refuses a spec depends only on which node types its e2
+    holds, since each failed type's helpers are fixed here, so `observe`
+    also runs for a seen union whose e2 holds a type no earlier call has
+    accepted: every spec refused one by one is refused here, with the
+    same error.  In exhaustive order a union first appears with e2 equal
+    to the whole union, so `observe` runs once per distinct union.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
@@ -296,9 +307,15 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
 
     rows = []
     worst = {}
+    verdicts = {}       # sorted e1 | e2 -> verdict
+    accepted = set()    # failed types whose helpers observe has accepted
     for l1, l2, spec in spec_iter():
-        verdict = _verdict(observe(system, layout, spec,
-                                   {n: helpers[n[0]] for n in spec.e2}))
+        union = tuple(sorted(spec.e1 + spec.e2))
+        verdict = verdicts.get(union)
+        if verdict is None or any(t not in accepted for t, _ in spec.e2):
+            verdict = verdicts[union] = _verdict(observe(
+                system, layout, spec, {n: helpers[n[0]] for n in spec.e2}))
+            accepted.update(t for t, _ in spec.e2)
         rows.append({**spec.to_json_dict(), "l1": l1, "l2": l2, **verdict})
         worst[(l1, l2)] = max(worst.get((l1, l2), 0), verdict["leakage"])
     return SweepResult(rows=tuple(rows), worst_leakage=worst,

@@ -2,17 +2,20 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from twinstore import eavesdrop, field, make_secure_layout, sim, \
+from twinstore import eavesdrop, field, loader, make_secure_layout, sim, \
     sweep_eavesdroppers
-from twinstore.cli import main
+from twinstore.cli import main, sweep_report_text
 from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
 from twinstore.mds import MdsCode, code_to_json, load_explicit, \
     make_systematic, make_vandermonde
 
-from test_sim import demo_scenario_doc
+from test_fuzz_inputs import FUZZ
+from test_sim import demo_scenario_doc, non_spanning_config
 
 
 def write_json(path, doc):
@@ -283,6 +286,41 @@ class TestEavesdrop:
         assert builds == []
         assert len(eliminations) == len(position_sets) < specs / 4
 
+    @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
+    def test_pinned_sweep_observes_once_per_node_set(
+            self, tmp_path, monkeypatch, style, digest):
+        # one verdict per distinct e1 | e2: 1 + 11 + 55 sets of at most two
+        # of the 11 nodes, each first met as a set of observed repairs
+        calls = []
+        raw_observe = sim.observe
+
+        def counting_observe(system, layout, spec, plans):
+            calls.append(spec.e1 + spec.e2)
+            return raw_observe(system, layout, spec, plans)
+
+        monkeypatch.setattr(sim, "observe", counting_observe)
+        out = tmp_path / "sweep.json"
+        assert main(pinned_sweep_argv(style, out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        unions = {tuple(sorted(map(tuple, r["e1"] + r["e2"])))
+                  for r in json.loads(out.read_text())["specs"]}
+        assert len(calls) == len(unions) == 67
+        assert {tuple(sorted(c)) for c in calls} == unions
+
+    def test_sweep_helpers_not_spanning_exits_1(self, monkeypatch, capsys):
+        config, _ = non_spanning_config()
+        monkeypatch.setattr(loader, "config", lambda doc, style=None: config)
+        assert main(["eavesdrop", "--q", "11", "--k", "2", "--l1", "1"]) == 1
+        assert "SingularSubmatrix" in capsys.readouterr().err
+
+    def test_sweep_stdout_matches_json_dumps(self, capsys):
+        assert main(["eavesdrop", "--q", "11", "--n1", "7", "--n2", "8",
+                     "--k", "4", "--l1", "1", "--l2", "1"]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert len(report["specs"]) > 100
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
     def test_sampled_sweep_rows_pinned(self):
         f11 = PrimeField(11)
         config = TwinConfig.build(f11, 5, 6, 4, "vandermonde")
@@ -295,6 +333,41 @@ class TestEavesdrop:
                            result.exhaustive], sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "744a3cf72ba6cfbb053fbc43dce44320b93c3af9de7304ecb3c6064508e331de")
+        report = {"exhaustive": result.exhaustive,
+                  "worst_leakage": [{"l1": l1, "l2": l2, "leakage": leak}
+                                    for (l1, l2), leak
+                                    in sorted(result.worst_leakage.items())],
+                  "specs": list(result.rows)}
+        assert sweep_report_text(report) == json.dumps(
+            report, sort_keys=True, indent=2) + "\n"
+
+
+NODE_LISTS = st.lists(st.tuples(st.sampled_from([1, 2]),
+                                 st.integers(1, 120)).map(list), max_size=3)
+SWEEP_ROWS = st.fixed_dictionaries({
+    "e1": NODE_LISTS, "e2": NODE_LISTS, "guaranteed": st.booleans(),
+    "l1": st.integers(0, 12), "l2": st.integers(0, 12),
+    "leakage": st.integers(0, 400), "rank": st.integers(0, 400)})
+WORST_LEAKAGE = st.lists(st.fixed_dictionaries({
+    "l1": st.integers(0, 12), "l2": st.integers(0, 12),
+    "leakage": st.integers(0, 400)}), max_size=3)
+
+
+@FUZZ
+@given(report=st.fixed_dictionaries({
+    "exhaustive": st.booleans(), "worst_leakage": WORST_LEAKAGE,
+    "specs": st.lists(SWEEP_ROWS, max_size=6)}))
+@example(report={"exhaustive": True, "worst_leakage": [], "specs": []})
+@example(report={
+    "exhaustive": False,
+    "worst_leakage": [{"l1": 0, "l2": 1, "leakage": 12}],
+    "specs": [{"e1": [], "e2": [[2, 11]], "guaranteed": True, "l1": 0,
+               "l2": 1, "leakage": 0, "rank": 6},
+              {"e1": [[1, 10], [2, 3]], "e2": [], "guaranteed": False,
+               "l1": 2, "l2": 0, "leakage": 10, "rank": 11}]})
+def test_sweep_report_text_matches_json_dumps(report):
+    assert sweep_report_text(report) == json.dumps(
+        report, sort_keys=True, indent=2) + "\n"
 
 
 def explicit_q101_docs():

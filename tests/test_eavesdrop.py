@@ -30,6 +30,7 @@ from twinstore import (
 from twinstore.errors import (
     BudgetExceeded,
     DimensionMismatch,
+    FieldMismatch,
     InstanceTooLarge,
     MissingRepairPlan,
     SingularSubmatrix,
@@ -185,6 +186,13 @@ class TestLazyAssembly:
                                                     row_builds):
         other = make_secure_layout([0] * 9, 0, 0, 3, PrimeField(11))
         with pytest.raises(DimensionMismatch):
+            observe(demo_system, other, EavesdropperSpec.of([(1, 1)], []), {})
+        assert row_builds == []
+
+    def test_layout_over_other_field_raised_before_assembly(self, demo_system,
+                                                            row_builds):
+        other = make_secure_layout([0] * 16, 0, 0, 4, PrimeField(13))
+        with pytest.raises(FieldMismatch):
             observe(demo_system, other, EavesdropperSpec.of([(1, 1)], []), {})
         assert row_builds == []
 

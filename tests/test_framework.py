@@ -455,6 +455,9 @@ class TestSnapshotJson:
         lambda doc: doc["nodes"]["type2"][1].update(symbols=None),
         lambda doc: doc["config"].update(n1=6),
         lambda doc: doc["config"].update(k=3),
+        lambda doc: doc["config"]["codes"][1].update(
+            style="vandermonde", points=None,
+            generator=mds.make_vandermonde(6, 2, PrimeField(11)).generator.tolist()),
     ])
     def test_malformed_snapshot_refused(self, demo_system, damage):
         doc = json.loads(json.dumps(demo_system.to_json_dict()))

@@ -16,14 +16,33 @@ from twinstore import (
     scenario_from_json,
     sweep_eavesdroppers,
 )
-from twinstore.errors import MalformedScenario, MixedTypes, WrongHelperType
+from twinstore.errors import (
+    MalformedScenario,
+    MixedTypes,
+    SingularSubmatrix,
+    WrongHelperType,
+)
 from twinstore.demo import DEMO_G1, DEMO_G2
-from twinstore.mds import code_to_json, load_explicit
+from twinstore.framework import TwinConfig
+from twinstore.mds import MdsCode, code_to_json, load_explicit, make_vandermonde
 from twinstore.field import FieldMatrix
 from twinstore.secure import make_secure_layout
 
 from conftest import build_config
 from test_fuzz_inputs import FUZZ, scenarios
+
+
+def non_spanning_config(k=2):
+    """A non-MDS config at q=11 with n1 = n2 = k+2 whose first two Type 1
+    generator columns are parallel, so the default helpers of a failed
+    Type 2 node do not span F^k; and a layout with budget k-1."""
+    f11 = PrimeField(11)
+    g = make_vandermonde(k + 2, k, f11).generator.array.copy()
+    g[:, 1] = 2 * g[:, 0] % 11
+    code1 = MdsCode(n=k + 2, k=k, field=f11, style="explicit",
+                    generator=FieldMatrix(g, f11))
+    config = TwinConfig(code1, make_vandermonde(k + 2, k, f11))
+    return config, make_secure_layout([0] * k, k - 1, 0, k, f11)
 
 
 def demo_scenario_doc(events=(), l1=2, l2=0, payload=None, seed=7):
@@ -355,6 +374,34 @@ class TestSweep:
             counts[(row["l1"], row["l2"])] = counts.get((row["l1"], row["l2"]), 0) + 1
         assert counts[(1, 1)] == 20
         assert counts[(0, 0)] == 1
+
+    @pytest.mark.parametrize("limit", [10**5, 1])
+    def test_helpers_not_spanning_refused(self, limit):
+        # exhaustive and sampled: the first repair of a type 2 node through
+        # its default helpers is refused, as observe refuses it alone
+        config, layout = non_spanning_config()
+        with pytest.raises(SingularSubmatrix):
+            sweep_eavesdroppers(config, layout, max_budget=1,
+                                enumeration_limit=limit)
+
+    def test_sampled_repair_refused_after_its_union_was_read(self,
+                                                              monkeypatch):
+        # scripted draws: type 2 node 1 is first read from storage beside
+        # type 1 node 1, then observed in repair beside it; that second
+        # spec, whose node set the sweep has seen, is still refused
+        draws = iter([[], [0], [1], [0], [1], [0, 1], [0, 2], [5, 0], [0, 5],
+                      [0, 1], [0, 2]])
+
+        class ScriptedRng:
+            def permutation(self, n):
+                head = next(draws)
+                return np.array(head + [i for i in range(n) if i not in head])
+
+        config, layout = non_spanning_config(k=3)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng())
+        with pytest.raises(SingularSubmatrix):
+            sweep_eavesdroppers(config, layout, max_budget=2,
+                                enumeration_limit=1, samples_per_split=2)
 
     def test_worst_leakage_monotone_in_budget(self, demo_config, demo_layout):
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=3)
