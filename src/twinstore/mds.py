@@ -7,13 +7,20 @@ columns of its first l rows -- the property the secrecy layer relies on.
 A systematic variant (reduced row echelon form, leading identity block)
 and arbitrary explicit generators are also supported.
 
+An explicit generator G is verified through its systematic form
+G = T [I | P]: G is MDS iff every square submatrix of P is nonsingular
+(MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 11
+sec. 4, Thm 8).  Each k-subset of columns maps to one minor of P, so all
+C(n, k) k x k minors are still checked exactly; explicit generators stay
+limited to n <= MINOR_CHECK_MAX_N = 20.
+
 Node/codeword positions are 1-based on this module's surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -27,7 +34,7 @@ from .errors import (
     TooFewPoints,
     UnverifiedCode,
 )
-from .field import FieldMatrix, PrimeField, _pivot_columns
+from .field import FieldMatrix, PrimeField, _pivot_columns, _row_reduce
 
 # Cap for exhaustive k x k minor verification: C(20, 10) ~ 184k minors.
 MINOR_CHECK_MAX_N = 20
@@ -136,66 +143,83 @@ def make_systematic(n: int, k: int, field: PrimeField, points=None) -> MdsCode:
                    eval_points=points)
 
 
+def _check_shape(generator: FieldMatrix):
+    k, n = generator.rows, generator.cols
+    if not 1 <= k <= n:
+        raise DimensionMismatch(f"generator must be k x n with k <= n, got {k}x{n}")
+    return k, n
+
+
+@lru_cache(maxsize=256)
+def _subset_tables(m: int, s: int):
+    """The s-subsets of range(m), 1 <= s <= m, in `combinations` order as
+    a (C(m, s), s) array, and for each subset and position t the index of
+    the subset without its t-th element among the (s-1)-subsets.  Read
+    only, since the tables are shared through the cache."""
+    index = {c: i for i, c in enumerate(combinations(range(m), s - 1))}
+    subsets = list(combinations(range(m), s))
+    elems = np.array(subsets, dtype=np.intp)
+    drop = np.array([[index[c[:t] + c[t + 1:]] for t in range(s)]
+                     for c in subsets], dtype=np.intp)
+    elems.flags.writeable = drop.flags.writeable = False
+    return elems, drop
+
+
 def find_singular_minor(generator: FieldMatrix):
     """Return the 1-based column set of the first singular k x k minor, or None.
 
-    Minors are eliminated in batches without modular inverses (cross
-    multiplication only), so the whole C(n, k) sweep stays vectorized.
+    "First" is `combinations` order.  The check goes through the
+    systematic form: with G = T [I | P] for invertible T, the k x k minor
+    of G on a column set S vanishes iff the minor of P on rows
+    {0..k-1} minus S and columns S beyond k does, so G is MDS iff every
+    square submatrix of P is nonsingular (MacWilliams & Sloane, The
+    Theory of Error-Correcting Codes, ch. 11 sec. 4, Thm 8).  G is
+    row-reduced once; if its first k columns are dependent they are the
+    answer.  Otherwise every s x s minor of P, s = 1..min(k, n-k), is
+    computed exactly mod p, one level at a time by Laplace expansion
+    along the first row of the (s-1)-level minors, so all C(n, k) minors
+    of G are still checked.
     """
-    k, n = generator.rows, generator.cols
+    k, n = _check_shape(generator)
     p = generator.field.p
-    gt = generator.array.T  # row c = column c of the generator
-    combos = combinations(range(n), k)
-    chunk = 20000
-    while True:
-        batch = []
-        for combo in combos:
-            batch.append(combo)
-            if len(batch) == chunk:
-                break
-        if not batch:
-            return None
-        idx = np.array(batch, dtype=np.intp)
-        mats = gt[idx].copy()  # (m, k, k); singularity is transpose-invariant
-        m = mats.shape[0]
-        singular = np.zeros(m, dtype=bool)
-        rows_idx = np.arange(m)
-        for c in range(k):
-            colvals = mats[:, c:, c]
-            nz = colvals != 0
-            has_pivot = nz.any(axis=1)
-            singular |= ~has_pivot
-            piv = np.argmax(nz, axis=1) + c
-            # swap rows c <-> piv
-            tmp = mats[rows_idx, c].copy()
-            mats[rows_idx, c] = mats[rows_idx, piv]
-            mats[rows_idx, piv] = tmp
-            if c == k - 1:
-                break
-            pv = mats[:, c, c]
-            below = mats[:, c + 1:, c]
-            # inverse-free elimination: row_j <- pv*row_j - m[j,c]*row_c
-            mats[:, c + 1:, c:] = (
-                pv[:, None, None] * mats[:, c + 1:, c:]
-                - below[:, :, None] * mats[:, c, c:][:, None, :]
-            ) % p
+    reduced, pivots = _row_reduce(generator.array, p)
+    if pivots != tuple(range(k)):
+        return tuple(range(1, k + 1))
+    coef = reduced[:, k:]
+    firsts = []
+    minors = np.ones((1, 1), dtype=np.int64)  # the empty minor
+    for s in range(1, min(k, n - k) + 1):
+        rows, row_drop = _subset_tables(k, s)
+        cols, col_drop = _subset_tables(n - k, s)
+        # minors[R, J] = sum_t (-1)^t P[R0, J_t] * minors'[R \ R0, J \ J_t]
+        terms = (coef[rows[:, 0]][:, cols]
+                 * minors[row_drop[:, 0]][:, col_drop]) % p
+        minors = (terms[..., 0::2].sum(axis=2)
+                  - terms[..., 1::2].sum(axis=2)) % p
+        singular = minors == 0
         if singular.any():
-            first = int(np.nonzero(singular)[0][0])
-            return tuple(c + 1 for c in batch[first])
-        if len(batch) < chunk:
-            return None
+            # a larger row-set index leaves a lexicographically smaller
+            # complement, so the level's first column set has the last
+            # singular row set and, in it, the first column set
+            r = int(np.nonzero(singular.any(axis=1))[0][-1])
+            c = int(np.argmax(singular[r]))
+            kept = sorted(set(range(k)) - set(rows[r].tolist()))
+            firsts.append(tuple(kept + (cols[c] + k).tolist()))
+    if not firsts:
+        return None
+    return tuple(j + 1 for j in min(firsts))
 
 
 def load_explicit(generator: FieldMatrix) -> MdsCode:
     """Wrap an explicit k x n generator, verifying the MDS property.
 
-    All k x k minors are checked exhaustively; generators wider than
-    MINOR_CHECK_MAX_N columns are refused because the check would no
-    longer be exhaustive in reasonable time.
+    `find_singular_minor` checks all C(n, k) k x k minors exactly, through
+    the systematic form (every square submatrix of P in G = T [I | P] is
+    nonsingular; MacWilliams & Sloane, ch. 11 sec. 4, Thm 8).  Generators
+    wider than MINOR_CHECK_MAX_N columns are refused because the check
+    would no longer be exhaustive in reasonable time.
     """
-    k, n = generator.rows, generator.cols
-    if not 1 <= k <= n:
-        raise DimensionMismatch(f"generator must be k x n with k <= n, got {k}x{n}")
+    k, n = _check_shape(generator)
     if n > MINOR_CHECK_MAX_N:
         raise UnverifiedCode(
             f"explicit generators are limited to n <= {MINOR_CHECK_MAX_N} "

@@ -269,7 +269,9 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     also runs for a seen union whose e2 holds a type no earlier call has
     accepted: every spec refused one by one is refused here, with the
     same error.  In exhaustive order a union first appears with e2 equal
-    to the whole union, so `observe` runs once per distinct union.
+    to the whole union, so `observe` runs once per distinct union.  An
+    `EavesdropperSpec` is built only for an `observe` call; each row gets
+    fresh e1/e2 lists made from the enumerated node tuples.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
@@ -284,14 +286,14 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     helpers = {t: framework.default_helpers(system, t) for t in (1, 2)}
     rng = np.random.default_rng(seed)
 
-    # specs are built sorted and disjoint, as EavesdropperSpec.of makes them
+    # (e1, e2) are built sorted and disjoint, as EavesdropperSpec.of makes them
     def spec_iter():
         for l1, l2 in splits:
             if exhaustive:
                 for e1 in combinations(nodes, l1):
                     rest = [x for x in nodes if x not in e1]
                     for e2 in combinations(rest, l2):
-                        yield l1, l2, EavesdropperSpec(e1=e1, e2=e2)
+                        yield l1, l2, e1, e2
             else:
                 count = comb(n, l1) * comb(n - l1, l2)
                 seen = set()
@@ -303,20 +305,22 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
                     if (e1, e2) in seen:
                         continue
                     seen.add((e1, e2))
-                    yield l1, l2, EavesdropperSpec(e1=e1, e2=e2)
+                    yield l1, l2, e1, e2
 
     rows = []
     worst = {}
     verdicts = {}       # sorted e1 | e2 -> verdict
     accepted = set()    # failed types whose helpers observe has accepted
-    for l1, l2, spec in spec_iter():
-        union = tuple(sorted(spec.e1 + spec.e2))
+    for l1, l2, e1, e2 in spec_iter():
+        union = tuple(sorted(e1 + e2))
         verdict = verdicts.get(union)
-        if verdict is None or any(t not in accepted for t, _ in spec.e2):
+        if verdict is None or any(t not in accepted for t, _ in e2):
             verdict = verdicts[union] = _verdict(observe(
-                system, layout, spec, {n: helpers[n[0]] for n in spec.e2}))
-            accepted.update(t for t, _ in spec.e2)
-        rows.append({**spec.to_json_dict(), "l1": l1, "l2": l2, **verdict})
+                system, layout, EavesdropperSpec(e1=e1, e2=e2),
+                {n: helpers[n[0]] for n in e2}))
+            accepted.update(t for t, _ in e2)
+        rows.append({"e1": [list(x) for x in e1], "e2": [list(x) for x in e2],
+                     "l1": l1, "l2": l2, **verdict})
         worst[(l1, l2)] = max(worst.get((l1, l2), 0), verdict["leakage"])
     return SweepResult(rows=tuple(rows), worst_leakage=worst,
                        exhaustive=exhaustive)

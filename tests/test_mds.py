@@ -1,5 +1,7 @@
 import json
+import re
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from twinstore.errors import (
     UnverifiedCode,
 )
 from twinstore.field import _pivot_columns, vstack
+from twinstore.mds import MINOR_CHECK_MAX_N
 
 
 def brute_force_is_mds(code):
@@ -142,6 +145,143 @@ class TestLoadExplicit:
 
         monkeypatch.setattr(FieldMatrix, "rank", no_rank)
         assert load_explicit(FieldMatrix(DEMO_G2, f11)).n == 6
+
+
+def first_singular_by_rank(gen):
+    """Reference: the first k-subset in combinations order whose columns
+    have rank below k, 1-based, or None."""
+    k, n = gen.rows, gen.cols
+    for cols in combinations(range(n), k):
+        if gen.take_columns(cols).rank() < k:
+            return tuple(c + 1 for c in cols)
+    return None
+
+
+REFERENCE_PRIMES = (2, 3, 5, 11, 101, 2**31 - 1)
+
+
+def grs_array(rng, n, k, p):
+    """A GRS generator: distinct points, nonzero column multipliers."""
+    points = rng.choice(min(p, 10**6), size=n, replace=False)
+    gen = make_vandermonde(n, k, PrimeField(p), points=points).generator.array
+    return gen * rng.integers(1, p, size=n) % p
+
+
+def combination(rng, arr, p):
+    """A random F_p-combination of arr's columns, exact for p = 2^31 - 1."""
+    return FieldMatrix(arr, PrimeField(p)) @ rng.integers(0, p, size=arr.shape[1])
+
+
+def plant_dependency(rng, arr, p):
+    """Make a random set of at most k columns dependent; with k = 1 that
+    is a zero column."""
+    k, n = arr.shape
+    cols = rng.permutation(n)[:int(rng.integers(1, k + 1))]
+    arr[:, cols[0]] = combination(rng, arr[:, cols[1:]], p)
+    return arr
+
+
+def reference_cases(p, count):
+    """Derandomized generators over F_p, 1 <= k <= 7, k <= n <= 14:
+    uniform random, GRS (random where n > p) and GRS with a planted
+    dependency, in turn.  The reference makes up to C(n, k) eliminations,
+    so only the first three cases have k = 7, n = 14 and the rest have
+    C(n, k) <= 300."""
+    rng = np.random.default_rng(p % 1000)
+    for i in range(count):
+        k, n = 7, 14
+        while i >= 3 and comb(n, k) > 300:
+            k = int(rng.integers(1, 8))
+            n = int(rng.integers(k, 15))
+        kind = i % 3
+        if kind == 0 or n > p:
+            arr = rng.integers(0, p, size=(k, n))
+        else:
+            arr = grs_array(rng, n, k, p)
+        if kind == 2:
+            arr = plant_dependency(rng, arr, p)
+        yield FieldMatrix(arr, PrimeField(p))
+
+
+def edge_cases():
+    """k = n, k = 1, a zero column, and dependent first k columns."""
+    rng = np.random.default_rng(7)
+    for p in REFERENCE_PRIMES:
+        f = PrimeField(p)
+        for k in (1, 3, 5):
+            for n in (k, k + 1, k + 4):
+                base = (grs_array(rng, n, k, p) if n <= p
+                        else rng.integers(0, p, size=(k, n)))
+                yield FieldMatrix(base, f)
+                for zero in (0, n - 1, n // 2):
+                    arr = base.copy()
+                    arr[:, zero] = 0
+                    yield FieldMatrix(arr, f)
+                arr = base.copy()
+                arr[:, k - 1] = combination(rng, arr[:, :k - 1], p)
+                yield FieldMatrix(arr, f)
+                yield FieldMatrix(np.zeros((k, n), dtype=np.int64), f)
+
+
+class TestSingularMinorReference:
+    """find_singular_minor against the first rank-deficient k-subset."""
+
+    @pytest.mark.parametrize("p", REFERENCE_PRIMES)
+    def test_matches_rank_reference(self, p):
+        singular = 0
+        for gen in reference_cases(p, 340):
+            expected = first_singular_by_rank(gen)
+            assert find_singular_minor(gen) == expected, gen
+            singular += expected is not None
+        # both answers occur often enough for the comparison to bite
+        assert 10 <= singular <= 330, singular
+
+    def test_edge_cases(self):
+        seen = 0
+        for gen in edge_cases():
+            assert find_singular_minor(gen) == first_singular_by_rank(gen), gen
+            seen += 1
+        assert seen == 6 * 9 * 6
+
+    def test_exact_at_largest_prime(self):
+        # G = T [I | P] over F_p, p = 2^31 - 1, where only P itself is
+        # singular.  P's first row alternates -1 and 1, so the 7 x 7
+        # minor's expansion adds four products near 2^62 with a plus sign
+        # and three small ones: their sum passes 2^63 unless each product
+        # is reduced first
+        p = 2**31 - 1
+        f = PrimeField(p)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            coef = rng.integers(0, p, size=(7, 7))
+            coef[0] = [p - 1, 1] * 3 + [p - 1]
+            weights = FieldMatrix(rng.integers(1, p, size=(1, 6)), f)
+            coef[6] = (weights @ FieldMatrix(coef[:6], f)).array[0]
+            mix = FieldMatrix(rng.integers(0, p, size=(7, 7)), f)
+            assert mix.rank() == 7
+            gen = mix @ FieldMatrix(np.hstack([np.eye(7, dtype=np.int64), coef]), f)
+            assert find_singular_minor(gen) == tuple(range(8, 15))
+            # the same generator with a nonsingular P is MDS
+            coef[6] = (coef[6] + 1) % p
+            gen = mix @ FieldMatrix(np.hstack([np.eye(7, dtype=np.int64), coef]), f)
+            assert find_singular_minor(gen) is None
+
+    def test_more_rows_than_columns_refused(self, f11):
+        with pytest.raises(DimensionMismatch):
+            find_singular_minor(FieldMatrix([[1, 2], [3, 4], [5, 6]], f11))
+
+    def test_cap_width_verified(self, f101):
+        # 10 x 20 GRS generator: C(20, 10) = 184,756 minors, all checked
+        rng = np.random.default_rng(20)
+        arr = grs_array(rng, 20, 10, 101)
+        assert load_explicit(FieldMatrix(arr, f101)).n == MINOR_CHECK_MAX_N
+        # column 16 := a combination of columns 2, 9 and 13
+        arr[:, 15] = (3 * arr[:, 1] + 5 * arr[:, 8] + 7 * arr[:, 12]) % 101
+        bad = FieldMatrix(arr, f101)
+        named = find_singular_minor(bad)
+        with pytest.raises(NotMds, match=re.escape(f"columns {named}")):
+            load_explicit(bad)
+        assert bad.take_columns([j - 1 for j in named]).rank() < 10
 
 
 def non_mds_f11_code():
