@@ -16,6 +16,7 @@ Each warning, such as the connectivity advisory, is one stderr line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -149,6 +150,7 @@ def cmd_eavesdrop(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args fills a fresh namespace and leaves the parser as is
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinstore",

@@ -106,9 +106,12 @@ def _row_reduce(arr: np.ndarray, p: int, reduced: bool = True):
 
     Columns are processed left to right with first-nonzero pivot selection,
     so for any j the number of pivots among the first j columns equals the
-    rank of the submatrix formed by those columns.  With reduced=False only
-    rows below the pivot are cleared (row echelon), operating on shrinking
-    in-place views; that path is the rank workhorse.
+    rank of the submatrix formed by those columns.  Rows are swapped only on
+    a zero pivot; the pivot row is scaled to a leading 1 and its column is
+    cleared by one in-place update of the block (entries stay above
+    -(p-1)^2 > -2^62 until reduced).  With reduced=False the block is the
+    shrinking view of the rows from the pivot down (row echelon form); that
+    path is the rank workhorse.
     """
     m = arr % p  # ufunc result: always a fresh writable array
     rows, cols = m.shape
@@ -117,29 +120,23 @@ def _row_reduce(arr: np.ndarray, p: int, reduced: bool = True):
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
+        if not m[r, c]:
+            nz = np.nonzero(m[r + 1:, c])[0]
+            if nz.size == 0:
+                continue
+            pr = r + 1 + int(nz[0])
             m[[r, pr]] = m[[pr, r]]
         inv = pow(int(m[r, c]), -1, p)
         pivrow = m[r, c:]
         if inv != 1:
             pivrow *= inv
             pivrow %= p
-        if reduced:
-            others = np.nonzero(m[:, c])[0]
-            others = others[others != r]
-            if others.size:
-                m[others, c:] = (m[others, c:]
-                                 - np.outer(m[others, c], pivrow)) % p
-        else:
-            below = m[r + 1:, c:]
-            factors = m[r + 1:, c]
-            if factors.any():
-                below -= np.outer(factors, pivrow)
-                below %= p
+        top = 0 if reduced else r
+        block = m[top:, c:]
+        factors = block[:, 0].copy()
+        factors[r - top] = 0
+        block -= factors[:, None] * pivrow
+        block %= p
         pivots.append(c)
         r += 1
     return m, tuple(pivots)
@@ -239,7 +236,7 @@ class FieldMatrix:
             )
         aug = np.column_stack([self.array, rhs])
         red, piv = _row_reduce(aug, self.field.p, reduced=True)
-        if len(piv) != self.rows or any(c >= self.cols for c in piv):
+        if piv != tuple(range(self.rows)):
             raise SingularMatrix("matrix is singular over F_p")
         return red[:, self.cols:].reshape(rhs.shape).copy()
 

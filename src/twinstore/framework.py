@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,8 +242,8 @@ class TwinSystem:
         nodes = self.nodes1 if node_type == 1 else self.nodes2
         nodes = nodes[:index - 1] + (content,) + nodes[index:]
         if node_type == 1:
-            return replace(self, nodes1=nodes)
-        return replace(self, nodes2=nodes)
+            return TwinSystem(self.config, nodes, self.nodes2)
+        return TwinSystem(self.config, self.nodes1, nodes)
 
     # -------------------------------------------------------------- JSON
 
@@ -314,24 +314,24 @@ def reconstruct(system: TwinSystem, node_type: int, indices) -> MessageMatrix:
     the type's spread matrix is a codeword observed at the k positions,
     so the whole matrix is one k x k solve with k right-hand sides.
     """
-    opposite_type(node_type)  # validates node_type
+    code = system.config.code_for(node_type)  # validates node_type
     idx = [int(j) for j in indices]
-    if len(set(idx)) != len(idx) or len(idx) < system.config.k:
-        raise NotEnoughLiveNodes(
-            f"need k={system.config.k} distinct nodes, got {idx}"
-        )
-    if len(idx) > system.config.k:
-        raise DimensionMismatch(f"expected exactly k={system.config.k} nodes")
+    if len(set(idx)) != len(idx) or len(idx) < code.k:
+        raise NotEnoughLiveNodes(f"need k={code.k} distinct nodes, got {idx}")
+    if len(idx) > code.k:
+        raise DimensionMismatch(f"expected exactly k={code.k} nodes")
+    nodes = system.nodes1 if node_type == 1 else system.nodes2
     for j in idx:
-        if system.node(node_type, j).is_empty:
+        if not 1 <= j <= code.n:
+            raise DimensionMismatch(f"type {node_type} has nodes 1..{code.n}, got {j}")
+        if nodes[j - 1].is_empty:
             raise DeadNode(f"type {node_type} node {j} holds no data")
-    code = system.config.code_for(node_type)
     # row i: coordinate idx[i] of the k codewords spread from the rows of
     # A (type 1) or A^T (type 2); decoded column t is row t of that matrix
-    stored = np.stack([system.node(node_type, j).symbols for j in idx])
-    decoded = FieldMatrix(mds.erasure_decode(code, idx, stored),
-                          system.config.field)
-    return MessageMatrix(a1=decoded.T if node_type == 1 else decoded)
+    stored = np.stack([nodes[j - 1].symbols for j in idx])
+    decoded = mds.erasure_decode(code, idx, stored)
+    return MessageMatrix(a1=FieldMatrix(decoded.T if node_type == 1 else decoded,
+                                        code.field))
 
 
 def helper_share(helper: NodeContent, target: EncodingVector) -> int:
@@ -380,22 +380,23 @@ def repair(system: TwinSystem, failed_type: int, failed_index: int,
     content, so one erasure decode restores it.  Returns the updated
     system and the regenerated content.
     """
-    system.node(failed_type, failed_index)  # range check
+    system.node(failed_type, failed_index)  # type and range check
     helper_type = opposite_type(failed_type)
-    k = system.config.k
+    code = system.config.code_for(helper_type)
     if helper_indices is None:
         helper_indices = default_helpers(system, failed_type)
     idx = [int(j) for j in helper_indices]
-    if len(idx) != k or len(set(idx)) != k:
-        raise NotEnoughHelpers(f"need exactly k={k} distinct helpers, got {idx}")
+    if len(idx) != code.k or len(set(idx)) != code.k:
+        raise NotEnoughHelpers(f"need exactly k={code.k} distinct helpers, got {idx}")
+    nodes = system.nodes1 if helper_type == 1 else system.nodes2
     for j in idx:
-        if not 1 <= j <= system.config.node_count(helper_type):
+        if not 1 <= j <= code.n:
             raise NotEnoughHelpers(f"helper index {j} out of range")
-        if system.node(helper_type, j).is_empty:
+        if nodes[j - 1].is_empty:
             raise NotEnoughHelpers(f"helper type {helper_type} node {j} holds no data")
     target = system.config.encoding_vector(failed_type, failed_index)
-    shares = [helper_share(system.node(helper_type, j), target) for j in idx]
-    content = mds.erasure_decode(system.config.code_for(helper_type), idx, shares)
+    shares = [helper_share(nodes[j - 1], target) for j in idx]
+    content = mds.erasure_decode(code, idx, shares)
     repaired = system.with_node(failed_type, failed_index, content)
     return repaired, repaired.node(failed_type, failed_index)
 

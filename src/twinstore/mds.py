@@ -264,9 +264,9 @@ def erasure_decode(code: MdsCode, positions, symbols) -> np.ndarray:
     syms = code.field.reduce(symbols)
     if syms.ndim not in (1, 2) or syms.shape[0] != code.k:
         raise DimensionMismatch(f"need exactly k={code.k} symbols")
-    sub = code.generator.take_columns([j - 1 for j in pos])
+    sub = FieldMatrix(code.generator.array[:, [j - 1 for j in pos]].T, code.field)
     try:
-        return sub.T.solve(syms)
+        return sub.solve(syms)
     except SingularMatrix as exc:
         raise SingularSubmatrix(
             f"columns {pos} are dependent; code object is corrupted"

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import twinstore
 from twinstore import eavesdrop, field, loader, make_secure_layout, sim, \
     sweep_eavesdroppers
-from twinstore.cli import main, sweep_report_text
+from twinstore.cli import build_parser, cmd_eavesdrop, main, sweep_report_text
 from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
@@ -486,3 +491,53 @@ class TestExitCodes:
         assert main([*argv, "--out", str(target)]) == 2
         assert one_error_line(capsys.readouterr().err).startswith(
             f"error: cannot write {target}: ")
+
+
+class TestParserReuse:
+    """main parses with one parser per process; a call leaves nothing
+    behind that the next call would read."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        payload = write_json(tmp_path / "payload.json", list(range(1, 7)))
+        spec = write_json(tmp_path / "spec.json", {"e1": [[1, 1]], "e2": [[2, 2]]})
+        return {
+            "bounds": ["bounds", "--kind", "fig9", "--k", "6", "--l1", "3"],
+            "encode": ["encode", "--q", "101", "--k", "3", "--n1", "6",
+                       "--n2", "5", "--l1", "1", "--seed", "4", "--in", payload],
+            "eavesdrop": ["eavesdrop", "--in", spec],
+        }
+
+    @staticmethod
+    def fresh_process(argv, out):
+        src = Path(twinstore.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinstore.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("order", [("bounds", "encode", "eavesdrop"),
+                                       ("encode", "eavesdrop", "bounds")])
+    def test_back_to_back_equals_fresh_processes(self, tmp_path, order):
+        argvs = self.argvs(tmp_path)
+        for name in order:
+            assert main([*argvs[name], "--out", str(tmp_path / name)]) == 0
+        for name in order:
+            fresh = self.fresh_process(argvs[name], tmp_path / f"{name}.fresh")
+            assert (tmp_path / name).read_bytes() == fresh, name
+
+    def test_no_default_leaks(self, tmp_path):
+        argvs = self.argvs(tmp_path)
+        parser = build_parser()
+        assert build_parser() is parser
+        for first, second in (("encode", "eavesdrop"), ("bounds", "eavesdrop"),
+                              ("eavesdrop", "encode")):
+            parser.parse_args(argvs[first])
+            got = vars(parser.parse_args(argvs[second]))
+            assert got == vars(build_parser.__wrapped__().parse_args(argvs[second]))
+        assert vars(parser.parse_args(["eavesdrop"])) == {
+            "command": "eavesdrop", "q": 11, "n1": 5, "n2": 6, "k": 4,
+            "style": "vandermonde", "seed": 0, "l1": 0, "l2": 0,
+            "infile": None, "out": None, "func": cmd_eavesdrop}

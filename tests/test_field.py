@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twinstore import FieldMatrix, PrimeField, in_row_space, rank
@@ -12,6 +12,7 @@ from twinstore.errors import (
     SingularMatrix,
     ZeroInverse,
 )
+from twinstore.field import _row_reduce
 
 PRIMES = [2, 3, 11, 101]
 
@@ -191,21 +192,36 @@ def int_matmul(a, b):
             for row in a]
 
 
+def int_row_reduce(a, p, reduced=True):
+    """Gauss-Jordan over Python ints mod p with first-nonzero pivots:
+    (matrix, pivot column tuple).  Each pivot row is scaled to a leading
+    1; with reduced=False only the rows below it are cleared."""
+    m = [[v % p for v in row] for row in a]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, tuple(pivots)
+
+
 def int_solve(a, y, p=P31):
     """Gauss-Jordan over Python ints mod p; None if a is singular."""
     n = len(a)
-    m = [list(row) + [v] for row, v in zip(a, y)]
-    for c in range(n):
-        r = next((i for i in range(c, n) if m[i][c]), None)
-        if r is None:
-            return None
-        m[c], m[r] = m[r], m[c]
-        inv = pow(m[c][c], -1, p)
-        m[c] = [v * inv % p for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[c])]
+    m, pivots = int_row_reduce([list(row) + [v] for row, v in zip(a, y)], p)
+    if pivots != tuple(range(n)):
+        return None
     return [row[n] for row in m]
 
 
@@ -234,6 +250,52 @@ def multi_rhs_systems(draw):
         return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                         min_size=rows, max_size=rows)
     return p, draw(grid(n, n)), draw(grid(n, m))
+
+
+@st.composite
+def reducible_matrices(draw):
+    """(p, matrix) over p in {2, 3, 101, 2^31-1}: rectangular either way,
+    often with zero leading columns, zero diagonal entries that force a
+    row swap, and rows that repeat a multiple of an earlier row."""
+    p = draw(st.sampled_from([2, 3, 101, P31]))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    entries = st.integers(0, p - 1) | st.sampled_from([0, 0, 1, p - 1])
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for c in range(draw(st.integers(0, cols))):
+        for row in m:
+            row[c] = 0
+    for c in draw(st.lists(st.integers(0, min(rows, cols) - 1), max_size=3)):
+        m[c][c] = 0
+    for i in draw(st.lists(st.integers(1, rows - 1), max_size=3)
+                  if rows > 1 else st.just([])):
+        j, f = draw(st.integers(0, i - 1)), draw(entries)
+        m[i] = [f * v % p for v in m[j]]
+    return p, m
+
+
+class TestRowReduceReference:
+    """_row_reduce, the one elimination every rank, rref and solve
+    goes through, equals the Python-int Gauss-Jordan reference exactly:
+    the same first-nonzero pivots and the same matrix, in both modes."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(reducible_matrices(), st.booleans())
+    @example((3, [[0, 1], [1, 0]]), True)
+    @example((2, [[0, 0, 1], [0, 1, 1], [0, 1, 0]]), False)
+    @example((101, [[1, 2, 3], [2, 4, 6], [0, 0, 5]]), True)
+    @example((P31, [[0, 0], [0, 0], [0, 0]]), True)
+    @example((P31, [[P31 - 1, 1, P31 - 1, 1], [1, P31 - 1, 1, 2]]), False)
+    def test_matches_python_ints(self, case, reduced):
+        p, a = case
+        arr = np.array(a, dtype=np.int64)
+        want, want_pivots = int_row_reduce(a, p, reduced)
+        got, pivots = _row_reduce(arr, p, reduced)
+        assert pivots == want_pivots
+        assert got.tolist() == want
+        assert arr.tolist() == a  # the input is left as it was
+        assert FieldMatrix(a, PrimeField(p)).pivot_columns() == pivots
 
 
 class TestLargePrimeProperties:

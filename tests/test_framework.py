@@ -33,7 +33,7 @@ from twinstore.errors import (
     SameTypeHelper,
     UnverifiedCode,
 )
-from twinstore import mds
+from twinstore import framework, mds
 
 from conftest import build_config
 
@@ -336,6 +336,105 @@ class TestRepair:
         doubly = fail_node(broken, 2, 4)
         with pytest.raises(NotEnoughHelpers):
             repair(doubly, 1, 1, [1, 2, 3, 4])
+
+
+def raised(call, *args):
+    """The exception call(*args) raises, as (type, message)."""
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestValidationOrder:
+    """Which error reconstruct and repair raise, with which message, when
+    several indices are wrong at once: the first failing check wins, and
+    the indices are checked one at a time in the order given.  The demo
+    system has k=4, five type 1 and six type 2 nodes."""
+
+    @pytest.mark.parametrize("node_type, idx, want", [
+        (3, [1, 2, 3, 4], (ValueError, "node type must be 1 or 2, got 3")),
+        (2, [1, 2, 3], (NotEnoughLiveNodes, "need k=4 distinct nodes, got [1, 2, 3]")),
+        (2, [1, 1, 3, 4], (NotEnoughLiveNodes, "need k=4 distinct nodes, got [1, 1, 3, 4]")),
+        (2, [9, 9, 2, 3], (NotEnoughLiveNodes, "need k=4 distinct nodes, got [9, 9, 2, 3]")),
+        (2, [1, 3, 4, 5, 6], (DimensionMismatch, "expected exactly k=4 nodes")),
+        (2, [7, 2, 3, 4], (DimensionMismatch, "type 2 has nodes 1..6, got 7")),
+        (2, [0, 2, 3, 4], (DimensionMismatch, "type 2 has nodes 1..6, got 0")),
+        (2, [1, 2, 7, 4], (DeadNode, "type 2 node 2 holds no data")),
+        (2, [5, 6, 1, 2], (DeadNode, "type 2 node 2 holds no data")),
+        (1, [1, 2, 3, 6], (DimensionMismatch, "type 1 has nodes 1..5, got 6")),
+    ])
+    def test_reconstruct(self, demo_system, node_type, idx, want):
+        failed = fail_node(demo_system, 2, 2)
+        assert raised(reconstruct, failed, node_type, idx) == want
+
+    @pytest.mark.parametrize("failed, helpers, want", [
+        ((3, 1), [1, 2, 3, 4], (ValueError, "node type must be 1 or 2, got 3")),
+        ((1, 6), [1, 2], (DimensionMismatch, "type 1 has nodes 1..5, got 6")),
+        ((2, 0), [1, 2, 3, 4], (DimensionMismatch, "type 2 has nodes 1..6, got 0")),
+        ((1, 1), [1, 2, 3],
+         (NotEnoughHelpers, "need exactly k=4 distinct helpers, got [1, 2, 3]")),
+        ((1, 1), [1, 1, 2, 3],
+         (NotEnoughHelpers, "need exactly k=4 distinct helpers, got [1, 1, 2, 3]")),
+        ((1, 1), [1, 2, 3, 7], (NotEnoughHelpers, "helper index 7 out of range")),
+        ((1, 1), [0, 2, 3, 5], (NotEnoughHelpers, "helper index 0 out of range")),
+        ((1, 1), [1, 2, 3, 4],
+         (NotEnoughHelpers, "helper type 2 node 4 holds no data")),
+        ((1, 1), [4, 7, 1, 2],
+         (NotEnoughHelpers, "helper type 2 node 4 holds no data")),
+        ((1, 1), [7, 4, 1, 2], (NotEnoughHelpers, "helper index 7 out of range")),
+        ((2, 1), [1, 2, 3, 6], (NotEnoughHelpers, "helper index 6 out of range")),
+    ])
+    def test_repair(self, demo_system, failed, helpers, want):
+        broken = fail_node(demo_system, 2, 4)
+        assert raised(repair, broken, *failed, helpers) == want
+
+    def test_repair_default_helpers_too_few(self, demo_system):
+        broken = demo_system
+        for j in (1, 2, 3):
+            broken = fail_node(broken, 2, j)
+        assert raised(repair, broken, 1, 1) == (
+            NotEnoughHelpers, "need exactly k=4 distinct helpers, got [4, 5, 6]")
+
+
+class TestLayerCalls:
+    """The benchmark's per-layer counters count these calls: a repair
+    ships one helper_share per helper and decodes once, a decode is one
+    solve, and a deploy repairs every non-seed node."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls = []
+        raw = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return raw(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_repair_and_decode(self, demo_system, monkeypatch):
+        shares = self.count(monkeypatch, framework, "helper_share")
+        decodes = self.count(monkeypatch, mds, "erasure_decode")
+        solves = self.count(monkeypatch, FieldMatrix, "solve")
+        broken = fail_node(demo_system, 1, 2)
+        _, content = repair(broken, 1, 2, [6, 2, 5, 3])
+        assert content == demo_system.node(1, 2)
+        assert len(shares) == 4 and len(decodes) == 1 and len(solves) == 1
+        reconstruct(demo_system, 2, [1, 2, 3, 4])
+        assert len(shares) == 4 and len(decodes) == 2 and len(solves) == 2
+
+    @pytest.mark.parametrize("n1, n2, k", [(5, 6, 4), (7, 7, 4), (4, 4, 4),
+                                           (9, 6, 3)])
+    def test_deploy_shares(self, monkeypatch, n1, n2, k):
+        field = PrimeField(101)
+        config = build_config(field, n1, n2, k)
+        msg = build_message_matrix(list(range(k * k)), k, field)
+        shares = self.count(monkeypatch, framework, "helper_share")
+        decodes = self.count(monkeypatch, mds, "erasure_decode")
+        seeds = list(range(1, k + 1))
+        assert deploy(config, msg, seeds, seeds) == encode_system(config, msg)
+        assert len(shares) == (n1 + n2 - 2 * k) * k
+        assert len(decodes) == n1 + n2 - 2 * k
 
 
 class TestDeploy:
