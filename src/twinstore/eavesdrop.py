@@ -20,9 +20,11 @@ generator columns, not once per spec.  A sweep also evaluates one verdict
 ranks and the guarantee read only that set and its size, never how it
 splits into storage reads and observed repairs, because an observed
 repair through helpers that span F^k exposes exactly the repaired node's
-own space.  Type 1 nodes with column rank u1
-expose F^k (x) U1, Type 2 nodes with column rank u2 expose U2 (x) F^k,
-and the two meet in U2 (x) U1, so
+own space.  So once a failed type's helpers have been accepted, a sweep
+observes each new node set as storage reads of the whole set, with no
+repair plans left to check.  Type 1 nodes whose generator columns span
+U1, of dimension u1, expose F^k (x) U1, Type 2 nodes whose columns span
+U2, of dimension u2, expose U2 (x) F^k, and the two meet in U2 (x) U1, so
 
     rank(M) = k(u1 + u2) - u1*u2.
 
@@ -34,17 +36,19 @@ left of / right of the random block, and for tiny instances brute-force
 mutual information computed by enumerating every source vector.
 
 `revealed_symbols`, the source coordinates the eavesdropper learns
-outright, comes from one reduced row echelon form of M and holds for any
-M: coordinate i is revealed iff some RREF row is the unit vector e_i.
+outright, has a closed form too.  The quotient of all functionals by the
+observed space is (F^k/U2) (x) (F^k/U1), so entry (a, b) of A is revealed
+iff e_b lies in U1 or e_a in U2: one small RREF of the observed generator
+columns per node type decides every coordinate, with no RREF of M.
 
 `observe`, the only constructor of `Observation`, validates a spec and
 records the config and layout, the observed nodes (type, index, and the
 helpers of an observed repair) and the column ranks (u, u', v).  The
 rows of M are assembled symbolically from generator columns, so the
 result is a property of the scheme rather than of one random draw, and
-only when something reads `obs.matrix` or `obs.values`:
-`revealed_symbols`, the elimination references and `brute_force_mi`.
-Rank and leakage never do.
+only when something reads `obs.matrix` or `obs.values`: the elimination
+references and `brute_force_mi`.  Rank, leakage and the revealed set
+never do.
 """
 
 from __future__ import annotations
@@ -266,16 +270,28 @@ def leakage_by_elimination(obs: Observation) -> int:
 def revealed_symbols(obs: Observation) -> set:
     """Labels of source coordinates fully determined by the observation.
 
-    Coordinate i is revealed iff the unit functional e_i lies in the row
-    space of M.  A row-space vector is fixed by its entries at the RREF
-    pivot columns, so that holds iff some row of the RREF of M has exactly
-    one nonzero entry, in column i.  One elimination decides every
-    coordinate, with no precondition on M; an observation with no rows
-    reveals nothing.
+    With U1 and U2 the column spaces of the observed Type 1 and Type 2
+    generator columns, the observed space is F^k (x) U1 + U2 (x) F^k (see
+    `independent_symbol_count`), and the quotient of all k*k functionals
+    by it is (F^k/U2) (x) (F^k/U1).  Entry (a, b) of A, source coordinate
+    b*k + a, maps there to [e_a] (x) [e_b], which vanishes iff e_b lies in
+    U1 or e_a in U2.  A unit vector lies in a row space iff some row of
+    its RREF is that unit vector, so one small RREF of the observed
+    columns per node type decides every coordinate.  Exact for every
+    observation `observe` accepts, since it refuses helpers that do not
+    span F^k; an observation of no nodes reveals nothing.
     """
-    rref = obs.matrix.rref().array
-    unit_rows = rref[np.count_nonzero(rref, axis=1) == 1]
-    return {obs.layout.label(int(c)) for c in np.nonzero(unit_rows)[1]}
+    config, k = obs.config, obs.config.k
+    units = []
+    for node_type in (1, 2):
+        cols = [j - 1 for t, j, _ in obs.nodes if t == node_type]
+        rref = FieldMatrix(config.code_for(node_type).generator.array[:, cols].T,
+                           config.field).rref().array
+        units.append(set(np.nonzero(
+            rref[np.count_nonzero(rref, axis=1) == 1])[1].tolist()))
+    in_u1, in_u2 = units
+    return {obs.layout.label(b * k + a) for b in range(k) for a in range(k)
+            if b in in_u1 or a in in_u2}
 
 
 def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:

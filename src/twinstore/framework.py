@@ -48,12 +48,18 @@ def opposite_type(node_type: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EncodingVector:
-    """Column of a generator matrix, owned by one storage node."""
+    """Column of a generator matrix, owned by one storage node.  Its
+    coefficients are kept reduced, as a read-only int64 array."""
 
     node_type: int
     node_index: int
     coefficients: np.ndarray
     field: PrimeField
+
+    def __post_init__(self):
+        coefficients = self.field.reduce(self.coefficients)
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __eq__(self, other):
         return (
@@ -347,7 +353,7 @@ def helper_share(helper: NodeContent, target: EncodingVector) -> int:
     if helper.is_empty:
         raise EmptyHelper(f"type {helper.node_type} node {helper.node_index} is empty")
     p = target.field.p
-    coeff = np.asarray(target.coefficients, dtype=np.int64) % p
+    coeff = target.coefficients
     if coeff.shape != helper.symbols.shape:
         raise DimensionMismatch(
             f"vector length {coeff.shape} vs stored {helper.symbols.shape}"

@@ -141,9 +141,11 @@ def column_ranks(config: TwinConfig, layout: SecureLayout, nodes) -> tuple:
     DimensionMismatch for an index outside its code.
     """
     own = layout.protected_type
-    pivots = config.code_for(own).pivots(j for t, j in nodes if t == own)
-    other = config.code_for(opposite_type(own)).pivots(
-        j for t, j in nodes if t != own)
+    mine, theirs = [], []
+    for t, j in nodes:
+        (mine if t == own else theirs).append(j)
+    pivots = config.code_for(own).pivots(mine)
+    other = config.code_for(opposite_type(own)).pivots(theirs)
     return (len(pivots), sum(1 for c in pivots if c < layout.budget), len(other))
 
 

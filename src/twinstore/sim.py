@@ -263,15 +263,18 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     One verdict is evaluated per distinct observed node set e1 | e2 and
     reused by every spec with that union.  That is exact: rank, leakage
     and the guarantee read only `column_ranks` of the set and its size,
-    however it splits into storage reads and observed repairs.  Whether
-    `observe` refuses a spec depends only on which node types its e2
-    holds, since each failed type's helpers are fixed here, so `observe`
-    also runs for a seen union whose e2 holds a type no earlier call has
-    accepted: every spec refused one by one is refused here, with the
-    same error.  In exhaustive order a union first appears with e2 equal
-    to the whole union, so `observe` runs once per distinct union.  An
-    `EavesdropperSpec` is built only for an `observe` call; each row gets
-    fresh e1/e2 lists made from the enumerated node tuples.
+    however it splits into storage reads and observed repairs, because an
+    observed repair through helpers that span F^k exposes exactly the
+    repaired node's own space.  Whether `observe` refuses a spec depends
+    only on which node types its e2 holds, since each failed type's
+    helpers are fixed here.  So a spec whose e2 holds a type no earlier
+    call has accepted is observed as it is, with its repair plans: every
+    spec refused one by one is refused here, with the same error.  Every
+    other new node set is observed once as storage reads of the whole
+    union, with no plans to check.  Either way `observe` runs once per
+    distinct union in exhaustive order, and plans reach it at most once
+    per failed type.  Each row gets fresh e1/e2 lists made from the
+    enumerated node tuples.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
@@ -313,14 +316,19 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     accepted = set()    # failed types whose helpers observe has accepted
     for l1, l2, e1, e2 in spec_iter():
         union = tuple(sorted(e1 + e2))
-        verdict = verdicts.get(union)
-        if verdict is None or any(t not in accepted for t, _ in e2):
+        if len(accepted) < 2 and any(t not in accepted for t, _ in e2):
             verdict = verdicts[union] = _verdict(observe(
                 system, layout, EavesdropperSpec(e1=e1, e2=e2),
                 {n: helpers[n[0]] for n in e2}))
             accepted.update(t for t, _ in e2)
+        else:
+            verdict = verdicts.get(union)
+            if verdict is None:
+                verdict = verdicts[union] = _verdict(observe(
+                    system, layout, EavesdropperSpec(e1=union, e2=()), {}))
         rows.append({"e1": [list(x) for x in e1], "e2": [list(x) for x in e2],
                      "l1": l1, "l2": l2, **verdict})
-        worst[(l1, l2)] = max(worst.get((l1, l2), 0), verdict["leakage"])
+        if verdict["leakage"] > worst.get((l1, l2), -1):
+            worst[(l1, l2)] = verdict["leakage"]
     return SweepResult(rows=tuple(rows), worst_leakage=worst,
                        exhaustive=exhaustive)

@@ -312,6 +312,27 @@ class TestEavesdrop:
         assert len(calls) == len(unions) == 67
         assert {tuple(sorted(c)) for c in calls} == unions
 
+    @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
+    def test_pinned_sweep_checks_plans_once_per_failed_type(
+            self, tmp_path, monkeypatch, style, digest):
+        # the first observed repair of each type brings its default
+        # helpers; every later node set is observed as storage reads
+        plans = []
+        raw_observe = sim.observe
+
+        def recording_observe(system, layout, spec, repair_plans):
+            if repair_plans:
+                plans.append(repair_plans)
+            else:
+                assert spec.e2 == ()
+            return raw_observe(system, layout, spec, repair_plans)
+
+        monkeypatch.setattr(sim, "observe", recording_observe)
+        out = tmp_path / "sweep.json"
+        assert main(pinned_sweep_argv(style, out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert plans == [{(1, 1): (1, 2, 3, 4)}, {(2, 1): (1, 2, 3, 4)}]
+
     def test_sweep_helpers_not_spanning_exits_1(self, monkeypatch, capsys):
         config, _ = non_spanning_config()
         monkeypatch.setattr(loader, "config", lambda doc, style=None: config)

@@ -538,6 +538,40 @@ class TestRevealedSymbols:
         assert revealed_symbols(obs) == {
             "r1", "r5", "a9", "a13", "r2", "r6", "a10", "a14"}
 
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_closed_form_matches_row_space(self, q):
+        # random explicit codes, MDS or not, with protected type 2 and
+        # observed repairs through random helpers: the unit vectors of the
+        # two column spaces decide exactly the coordinates in row(M)
+        field = PrimeField(q)
+        rng = np.random.default_rng(q)
+        checked = with_repairs = revealing = 0
+        for _ in range(400):
+            k = int(rng.integers(2, 5))
+            codes = [MdsCode(n=int(n), k=k, field=field,
+                             generator=FieldMatrix(field.uniform(rng, (k, int(n))),
+                                                   field),
+                             style="explicit")
+                     for n in rng.integers(k, k + 4, size=2)]
+            config = TwinConfig(*codes)
+            l1 = int(rng.integers(0, k))
+            layout = make_secure_layout(
+                field.uniform(rng, k * (k - l1)), l1, 0, k, field,
+                seed=int(rng.integers(1 << 30)), protected_type=2)
+            system = encode_system(config, layout.matrix)
+            spec, plans = _random_spec(rng, config, int(rng.integers(1, k)))
+            try:
+                obs = observe(system, layout, spec, plans)
+            except SingularSubmatrix:
+                continue
+            revealed = revealed_symbols(obs)
+            assert revealed == revealed_by_row_space(obs), (spec, plans)
+            checked += 1
+            with_repairs += bool(plans)
+            revealing += bool(revealed)
+        assert checked > 250 and with_repairs > 100 and revealing > 50, (
+            checked, with_repairs, revealing)
+
 
 class TestE2Equivalence:
     def test_repair_rows_span_node_rows(self, demo_system, demo_layout):

@@ -263,6 +263,21 @@ class TestHelperShare:
         zero = EncodingVector(1, 1, np.zeros(4, dtype=np.int64), demo_config.field)
         assert helper_share(demo_system.node(2, 3), zero) == 0
 
+    def test_target_reduced_once_and_read_only(self, demo_config, demo_system):
+        # a vector stores its coefficients reduced, as read-only int64, so
+        # each helper reads them as they are; a wrong length still fails
+        from twinstore import EncodingVector
+        field = demo_config.field
+        vector = EncodingVector(1, 1, [12, -1, 0, 22], field)
+        assert vector.coefficients.dtype == np.int64
+        assert vector.coefficients.tolist() == [1, 10, 0, 0]
+        assert not vector.coefficients.flags.writeable
+        helper = demo_system.node(2, 4)
+        assert helper_share(helper, vector) == helper_share(
+            helper, EncodingVector(1, 1, np.array([1, 10, 0, 0]), field))
+        with pytest.raises(DimensionMismatch, match="vector length"):
+            helper_share(helper, EncodingVector(1, 1, [1, 2, 3], field))
+
     def test_same_type_rejected(self, demo_config, demo_system):
         with pytest.raises(SameTypeHelper):
             helper_share(demo_system.node(1, 2), demo_config.encoding_vector(1, 1))

@@ -12,6 +12,7 @@ from twinstore import (
     encode_system,
     guaranteed_secure_set,
     load_scenario,
+    observe,
     run,
     scenario_from_json,
     sweep_eavesdroppers,
@@ -23,6 +24,7 @@ from twinstore.errors import (
     WrongHelperType,
 )
 from twinstore.demo import DEMO_G1, DEMO_G2
+from twinstore.eavesdrop import _verdict
 from twinstore.framework import TwinConfig
 from twinstore.mds import MdsCode, code_to_json, load_explicit, make_vandermonde
 from twinstore.field import FieldMatrix
@@ -43,6 +45,20 @@ def non_spanning_config(k=2):
                     generator=FieldMatrix(g, f11))
     config = TwinConfig(code1, make_vandermonde(k + 2, k, f11))
     return config, make_secure_layout([0] * k, k - 1, 0, k, f11)
+
+
+def spanning_non_mds_config():
+    """A non-MDS config at q=11, k=3, n1 = n2 = 6: Type 1 column 5 is
+    parallel to column 4 and Type 2 column 6 to column 1, while the
+    default helpers, columns 1-3, still span F^3."""
+    f11 = PrimeField(11)
+    codes = []
+    for dependent, source in ((4, 3), (5, 0)):
+        g = make_vandermonde(6, 3, f11).generator.array.copy()
+        g[:, dependent] = 2 * g[:, source] % 11
+        codes.append(MdsCode(n=6, k=3, field=f11, style="explicit",
+                             generator=FieldMatrix(g, f11)))
+    return TwinConfig(*codes)
 
 
 def demo_scenario_doc(events=(), l1=2, l2=0, payload=None, seed=7):
@@ -353,6 +369,33 @@ class TestSweep:
             assert row["guaranteed"] == guaranteed_secure_set(
                 config, layout, spec.e1, spec.e2).guaranteed
         assert 0 < sum(row["guaranteed"] for row in result.rows) < len(result.rows)
+
+    @pytest.mark.parametrize("style, protected_type, limit", [
+        *((style, t, 50) for style in ("vandermonde", "systematic")
+          for t in (1, 2)),
+        *(("explicit", t, limit) for t in (1, 2) for limit in (10**5, 50))])
+    def test_rows_equal_verdict_of_own_spec(self, f11, style, protected_type,
+                                            limit):
+        # seeded sampled sweeps, and a non-MDS explicit code whose default
+        # helpers span: each row is its own spec observed with its plans
+        if style == "explicit":
+            config = spanning_non_mds_config()
+        else:
+            config = build_config(f11, 5, 6, 4, style=style)
+        k = config.k
+        layout = make_secure_layout([0] * k * (k - 2), 1, 1, k, f11,
+                                    protected_type=protected_type)
+        system = encode_system(config, layout.matrix)
+        result = sweep_eavesdroppers(config, layout, max_budget=k - 1,
+                                     seed=protected_type, enumeration_limit=limit,
+                                     samples_per_split=12)
+        assert result.exhaustive == (limit == 10**5)
+        assert any(row["l2"] >= 1 for row in result.rows)
+        for row in result.rows:
+            spec = EavesdropperSpec.of(row["e1"], row["e2"])
+            obs = observe(system, layout, spec, default_repair_plans(system, spec))
+            assert row == {"e1": row["e1"], "e2": row["e2"], "l1": len(spec.e1),
+                           "l2": len(spec.e2), **_verdict(obs)}, row
 
     def test_budget_zero_single_row(self, demo_config, demo_layout):
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=0)
