@@ -54,9 +54,9 @@ class BoundParams:
 
 
 def capacity_bound(p: BoundParams) -> Fraction:
-    """Max file size: sum_{i=0}^{k-1} min(alpha, (d-i) beta)."""
-    return sum((min(p.alpha, (p.d - i) * p.beta) for i in range(p.k)),
-               Fraction(0))
+    """Max file size: sum_{i=0}^{k-1} min(alpha, (d-i) beta), the
+    secrecy bound with no eavesdropper."""
+    return secrecy_bound_pawar(p, 0)
 
 
 def msr_point(s, k: int, d: int) -> tuple:
@@ -98,8 +98,7 @@ def secrecy_bound_pawar(p: BoundParams, l: int) -> Fraction:
 
 def secure_mbr_size(k: int, d: int, beta, l: int) -> Fraction:
     """(kd - C(k,2)) beta - (ld - C(l,2)) beta; (k-l)(k+1-l)/2 at alpha=d=k, beta=1."""
-    beta = Fraction(beta)
-    return (k * d - comb(k, 2)) * beta - (l * d - comb(l, 2)) * beta
+    return mbr_file_size(k, d, beta) - mbr_file_size(l, d, beta)
 
 
 def secure_msr_size(k: int, d: int, alpha, l1: int, l2: int) -> Fraction:

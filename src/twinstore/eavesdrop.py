@@ -15,16 +15,11 @@ sweep rows read the one guarantee predicate, every node protected and
 u' = |nodes|, from the same record.  Those ranks and observe's
 helper-span check read one memo per code, `MdsCode.pivots`, keyed by the
 observed position set, so a sweep eliminates once per distinct set of
-generator columns, not once per spec.  A sweep also evaluates one verdict
-(`_verdict`) per distinct observed node set e1 | e2, not per spec: the
-ranks and the guarantee read only that set and its size, never how it
-splits into storage reads and observed repairs, because an observed
-repair through helpers that span F^k exposes exactly the repaired node's
-own space.  So once a failed type's helpers have been accepted, a sweep
-observes each new node set as storage reads of the whole set, with no
-repair plans left to check.  Type 1 nodes whose generator columns span
-U1, of dimension u1, expose F^k (x) U1, Type 2 nodes whose columns span
-U2, of dimension u2, expose U2 (x) F^k, and the two meet in U2 (x) U1, so
+generator columns, not once per spec (`sim.sweep_eavesdroppers` says how
+a sweep also shares one verdict between specs).  Type 1 nodes whose
+generator columns span U1, of dimension u1, expose F^k (x) U1, Type 2
+nodes whose columns span U2, of dimension u2, expose U2 (x) F^k, and the
+two meet in U2 (x) U1, so
 
     rank(M) = k(u1 + u2) - u1*u2.
 

@@ -302,12 +302,6 @@ def encode_system(config: TwinConfig, msg: MessageMatrix) -> TwinSystem:
     return TwinSystem(config=config, nodes1=nodes1, nodes2=nodes2)
 
 
-def empty_system(config: TwinConfig) -> TwinSystem:
-    nodes1 = tuple(NodeContent(1, j + 1, None) for j in range(config.n1))
-    nodes2 = tuple(NodeContent(2, j + 1, None) for j in range(config.n2))
-    return TwinSystem(config=config, nodes1=nodes1, nodes2=nodes2)
-
-
 def fail_node(system: TwinSystem, node_type: int, index: int) -> TwinSystem:
     """Crash-only failure: the stored content is erased, so the node is not live."""
     return system.with_node(node_type, index, None)
@@ -410,30 +404,25 @@ def repair(system: TwinSystem, failed_type: int, failed_index: int,
 def deploy(config: TwinConfig, msg: MessageMatrix, seed_type1, seed_type2) -> TwinSystem:
     """Populate a network from k seeded nodes per type.
 
-    Seeds receive their encoded columns directly; every other node is
-    filled by the ordinary repair protocol against already-filled
+    Seeds keep their encoded columns; every other node starts erased and
+    is filled by the ordinary repair protocol against already-filled
     opposite-type nodes, alternating types in ascending node order.
     The result is identical to encoding every node at the source.
     """
-    seeds = {}
+    pending = {}
     for node_type, raw in ((1, seed_type1), (2, seed_type2)):
-        idx = sorted(int(j) for j in raw)
+        idx = [int(j) for j in raw]
+        count = config.node_count(node_type)
         if len(idx) != config.k or len(set(idx)) != config.k or any(
-                not 1 <= j <= config.node_count(node_type) for j in idx):
+                not 1 <= j <= count for j in idx):
             raise InsufficientSeeds(
                 f"type {node_type} needs k={config.k} distinct valid seeds, got {raw}"
             )
-        seeds[node_type] = idx
-    full = encode_system(config, msg)
-    system = empty_system(config)
-    for node_type, idx in seeds.items():
+        pending[node_type] = [j for j in range(1, count + 1) if j not in idx]
+    system = encode_system(config, msg)
+    for node_type, idx in pending.items():
         for j in idx:
-            system = system.with_node(node_type, j, full.node(node_type, j).symbols)
-    pending = {
-        node_type: [j for j in range(1, config.node_count(node_type) + 1)
-                    if j not in seeds[node_type]]
-        for node_type in (1, 2)
-    }
+            system = fail_node(system, node_type, j)
     while pending[1] or pending[2]:
         for node_type in (1, 2):
             if pending[node_type]:

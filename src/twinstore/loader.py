@@ -91,9 +91,11 @@ def code(doc, what="generator") -> mds.MdsCode:
     """Generator document {"p", "n", "k", "generator"}: an MDS-verified code."""
     doc = as_object(doc, what)
     _field(_get(doc, "p", what), f"{what} p")
-    for key in ("n", "k"):
-        integer(_get(doc, key, what), f"{what} {key}")
-    _matrix(_get(doc, "generator", what), f"{what} generator")
+    n, k = (integer(_get(doc, key, what), f"{what} {key}") for key in ("n", "k"))
+    rows = _matrix(_get(doc, "generator", what), f"{what} generator")
+    if (k, n) != (len(rows), len(rows[0])):
+        raise MalformedInput(f"declared (n={n}, k={k}) does not match "
+                             f"generator shape {len(rows)}x{len(rows[0])}")
     return mds.code_from_json(doc)
 
 

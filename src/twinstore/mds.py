@@ -40,16 +40,28 @@ from .field import FieldMatrix, PrimeField, _pivot_columns, _row_reduce
 MINOR_CHECK_MAX_N = 20
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MdsCode:
-    """A linear (n, k) MDS code described by its generator matrix."""
+    """A linear (n, k) code: its k x n generator, from which n, k and the
+    field are read (and cached on first read).  The makers below build MDS
+    codes; `MdsCode(generator, "explicit")` wraps any generator unchecked,
+    and `load_explicit` verifies it first."""
 
-    n: int
-    k: int
-    field: PrimeField
     generator: FieldMatrix
     style: str  # "vandermonde" | "systematic" | "explicit"
     eval_points: tuple | None = None
+
+    @cached_property
+    def k(self) -> int:
+        return self.generator.rows
+
+    @cached_property
+    def n(self) -> int:
+        return self.generator.cols
+
+    @cached_property
+    def field(self) -> PrimeField:
+        return self.generator.field
 
     def encoding_vector(self, j: int) -> np.ndarray:
         """Column j (1-based) of the generator."""
@@ -88,14 +100,6 @@ class MdsCode:
     def _pivot_memo(self) -> dict:
         return {}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MdsCode)
-            and (self.n, self.k, self.style, self.eval_points)
-            == (other.n, other.k, other.style, other.eval_points)
-            and self.generator == other.generator
-        )
-
     def __repr__(self):
         return f"MdsCode(n={self.n}, k={self.k}, p={self.field.p}, style={self.style!r})"
 
@@ -130,8 +134,7 @@ def make_vandermonde(n: int, k: int, field: PrimeField, points=None) -> MdsCode:
     """GRS code with generator entries x_j^i, i = 0..k-1; MDS for distinct points."""
     points = _check_points(n, k, field, points)
     gen = FieldMatrix(_vandermonde_array(k, points, field.p), field)
-    return MdsCode(n=n, k=k, field=field, generator=gen, style="vandermonde",
-                   eval_points=points)
+    return MdsCode(gen, "vandermonde", points)
 
 
 def make_systematic(n: int, k: int, field: PrimeField, points=None) -> MdsCode:
@@ -139,8 +142,7 @@ def make_systematic(n: int, k: int, field: PrimeField, points=None) -> MdsCode:
     points = _check_points(n, k, field, points)
     base = FieldMatrix(_vandermonde_array(k, points, field.p), field)
     gen = base.rref()
-    return MdsCode(n=n, k=k, field=field, generator=gen, style="systematic",
-                   eval_points=points)
+    return MdsCode(gen, "systematic", points)
 
 
 def _check_shape(generator: FieldMatrix):
@@ -232,8 +234,7 @@ def load_explicit(generator: FieldMatrix) -> MdsCode:
         if rank != k:
             raise NotMds(f"generator has rank {rank} < k={k}")
         raise NotMds(f"singular k x k minor at columns {bad}")
-    return MdsCode(n=n, k=k, field=generator.field, generator=generator,
-                   style="explicit", eval_points=None)
+    return MdsCode(generator, "explicit")
 
 
 def encode_row(code: MdsCode, message) -> np.ndarray:

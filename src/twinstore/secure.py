@@ -47,7 +47,10 @@ def secure_capacity_twin(k: int, l1: int, l2: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SecureLayout:
-    """Message matrix with a random band oriented toward one node type."""
+    """Message matrix with a random band oriented toward one node type:
+    its sizes, seed, protected type and payload.  Every construction
+    (`dataclasses.replace` too) checks them, draws `random_symbols` from
+    the seed and places them and the payload into `matrix` by `_slots`."""
 
     k: int
     l1: int
@@ -55,26 +58,49 @@ class SecureLayout:
     field: PrimeField
     seed: int
     protected_type: int
-    random_symbols: np.ndarray  # length k * (l1 + l2)
-    payload: np.ndarray         # length k * (k - l1 - l2)
-    matrix: MessageMatrix
+    payload: np.ndarray  # length k * (k - l1 - l2)
+
+    def __post_init__(self):
+        k, l1, l2, field = self.k, self.l1, self.l2, self.field
+        capacity = secure_capacity_twin(k, l1, l2)
+        if self.protected_type not in (1, 2):
+            raise ValueError(f"protected_type must be 1 or 2, got {self.protected_type}")
+        vals = field.reduce(self.payload).ravel()
+        if vals.size != capacity:
+            raise BadPayloadLength(
+                f"payload must hold exactly k*(k-l1-l2) = {capacity} symbols, "
+                f"got {vals.size}"
+            )
+        rand = field.uniform(np.random.default_rng(self.seed), k * (l1 + l2))
+        flat = np.empty(k * k, dtype=np.int64)
+        flat[self._slots] = np.concatenate([rand, vals])
+        matrix = MessageMatrix(a1=FieldMatrix(flat.reshape((k, k), order="F"), field))
+        for name, value in (("seed", int(self.seed)), ("payload", vals),
+                            ("random_symbols", rand), ("matrix", matrix)):
+            object.__setattr__(self, name, value)
 
     @property
     def budget(self) -> int:
         return self.l1 + self.l2
 
     @cached_property
+    def _slots(self) -> np.ndarray:
+        """Source coordinate (column-major over the matrix) of each symbol
+        of (random_symbols, payload): the identity for protected type 1,
+        which fills the matrix by columns, its transpose for type 2."""
+        slots = np.arange(self.k * self.k)
+        return slots if self.protected_type == 1 else slots.reshape(
+            (self.k, self.k)).T.ravel()
+
+    @cached_property
     def random_cols(self) -> tuple:
-        """Source coordinates (column-major over the matrix) holding randomness."""
-        k, l = self.k, self.budget
-        if self.protected_type == 1:
-            return tuple(range(k * l))          # leading columns
-        return tuple(j for j in range(k * k) if j % k < l)  # leading rows
+        """Source coordinates holding randomness, ascending."""
+        return tuple(sorted(self._slots[:self.k * self.budget].tolist()))
 
     @cached_property
     def payload_cols(self) -> tuple:
-        random = set(self.random_cols)
-        return tuple(j for j in range(self.k * self.k) if j not in random)
+        """Source coordinates holding the payload, ascending."""
+        return tuple(sorted(self._slots[self.k * self.budget:].tolist()))
 
     def source_vector(self) -> np.ndarray:
         """Column-major flattening of the message matrix."""
@@ -102,23 +128,8 @@ def make_secure_layout(payload, l1: int, l2: int, k: int, field: PrimeField,
     transposes that arrangement.  With l1 = l2 = 0 both orientations
     coincide with the plain layout.
     """
-    capacity = secure_capacity_twin(k, l1, l2)
-    if protected_type not in (1, 2):
-        raise ValueError(f"protected_type must be 1 or 2, got {protected_type}")
-    vals = field.reduce(payload).ravel()
-    if vals.size != capacity:
-        raise BadPayloadLength(
-            f"payload must hold exactly k*(k-l1-l2) = {capacity} symbols, "
-            f"got {vals.size}"
-        )
-    rng = np.random.default_rng(seed)
-    rand = field.uniform(rng, k * (l1 + l2))
-    block = np.concatenate([rand, vals]).reshape((k, k), order="F")
-    a1 = block if protected_type == 1 else block.T
-    matrix = MessageMatrix(a1=FieldMatrix(a1, field))
-    return SecureLayout(k=k, l1=l1, l2=l2, field=field, seed=int(seed),
-                        protected_type=protected_type,
-                        random_symbols=rand, payload=vals, matrix=matrix)
+    return SecureLayout(k=k, l1=l1, l2=l2, field=field, seed=seed,
+                        protected_type=protected_type, payload=payload)
 
 
 def recover_payload(layout: SecureLayout, msg: MessageMatrix) -> np.ndarray:
@@ -128,8 +139,7 @@ def recover_payload(layout: SecureLayout, msg: MessageMatrix) -> np.ndarray:
     if msg.a1.field != layout.field:
         raise FieldMismatch(f"message over F_{msg.a1.field.p}, "
                             f"layout over F_{layout.field.p}")
-    block = msg.a1.array if layout.protected_type == 1 else msg.a1.array.T
-    return block.flatten(order="F")[layout.k * layout.budget:]
+    return msg.flatten()[layout._slots[layout.k * layout.budget:]]
 
 
 def column_ranks(config: TwinConfig, layout: SecureLayout, nodes) -> tuple:

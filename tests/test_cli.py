@@ -14,6 +14,7 @@ from twinstore import eavesdrop, field, loader, make_secure_layout, sim, \
     sweep_eavesdroppers
 from twinstore.cli import build_parser, cmd_eavesdrop, main, sweep_report_text
 from twinstore.demo import DEMO_G1, DEMO_G2
+from twinstore.errors import MalformedInput
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
 from twinstore.mds import MdsCode, code_to_json, load_explicit, \
@@ -497,6 +498,25 @@ class TestExitCodes:
     def test_valid_input_the_math_refuses_exits_1(self, capsys, argv, error):
         assert main(argv) == 1
         assert one_error_line(capsys.readouterr().err).startswith(f"error: {error}:")
+
+    @pytest.mark.parametrize("argv, wrap", [
+        (["eavesdrop", "--style", "explicit"], lambda g: {**g, "e1": [[1, 1]]}),
+        (["encode", "--style", "explicit"],
+         lambda g: {**g, "payload": list(range(16))}),
+        (["scenario"], lambda g: {"config": {"style": "explicit", **g}}),
+    ], ids=["eavesdrop", "encode", "scenario"])
+    def test_declared_sizes_disagreeing_with_generator_exit_2(
+            self, tmp_path, capsys, argv, wrap):
+        # one message on every path; `mds.code_from_json` itself still
+        # raises DimensionMismatch for library callers
+        gen = code_to_json(make_vandermonde(7, 4, PrimeField(11)))
+        gens = {"generator1": {**gen, "n": 8}, "generator2": gen}
+        in_path = write_json(tmp_path / "in.json", wrap(gens))
+        assert main([*argv, "--in", in_path]) == 2
+        assert one_error_line(capsys.readouterr().err) == (
+            "error: declared (n=8, k=4) does not match generator shape 4x7")
+        with pytest.raises(MalformedInput):
+            loader.code(gens["generator1"])
 
     @pytest.mark.parametrize("argv, doc", [
         (["bounds", "--kind", "fig5", "--k-max", "4"], None),

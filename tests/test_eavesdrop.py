@@ -362,8 +362,7 @@ class TestClosedFormLeakage:
         good = make_vandermonde(5, 3, f11)
         gen = good.generator.array.copy()
         gen[:, 2] = gen[:, 1]
-        bad = MdsCode(n=5, k=3, field=f11, generator=FieldMatrix(gen, f11),
-                      style="explicit")
+        bad = MdsCode(generator=FieldMatrix(gen, f11), style="explicit")
         config = TwinConfig(bad, make_vandermonde(5, 3, f11))
         layout = make_secure_layout(list(range(6)), 0, 1, 3, f11, seed=4)
         system = encode_system(config, layout.matrix)
@@ -396,8 +395,7 @@ class TestClosedFormLeakage:
                 gen = field.uniform(rng, (k, int(n)))
                 a, b = rng.permutation(int(n))[:2]
                 gen[:, b] = gen[:, a] * rng.integers(1, field.p) % field.p
-                codes.append(MdsCode(n=int(n), k=k, field=field,
-                                     generator=FieldMatrix(gen, field),
+                codes.append(MdsCode(generator=FieldMatrix(gen, field),
                                      style="explicit"))
             config = TwinConfig(*codes)
             l1 = int(rng.integers(0, k))
@@ -548,8 +546,7 @@ class TestRevealedSymbols:
         checked = with_repairs = revealing = 0
         for _ in range(400):
             k = int(rng.integers(2, 5))
-            codes = [MdsCode(n=int(n), k=k, field=field,
-                             generator=FieldMatrix(field.uniform(rng, (k, int(n))),
+            codes = [MdsCode(generator=FieldMatrix(field.uniform(rng, (k, int(n))),
                                                    field),
                              style="explicit")
                      for n in rng.integers(k, k + 4, size=2)]

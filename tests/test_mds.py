@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from itertools import combinations
@@ -92,6 +93,25 @@ class TestSystematic:
 
     def test_is_mds(self, f11):
         assert brute_force_is_mds(make_systematic(7, 4, f11))
+
+
+class TestCodeIsItsGenerator:
+    def test_constructor_fields(self):
+        assert [f.name for f in dataclasses.fields(MdsCode)] == [
+            "generator", "style", "eval_points"]
+
+    def test_sizes_and_field_come_from_the_generator(self, f11, f101):
+        for field, rows, cols in ((f11, 4, 6), (f101, 3, 5)):
+            gen = FieldMatrix(np.ones((rows, cols), dtype=np.int64), field)
+            code = MdsCode(gen, "explicit")
+            assert (code.n, code.k, code.field) == (cols, rows, field)
+
+    def test_equality_reads_generator_style_and_points(self, f11):
+        code = make_vandermonde(5, 3, f11)
+        assert code == make_vandermonde(5, 3, f11)
+        assert code != make_vandermonde(5, 3, f11, points=(1, 2, 3, 4, 5))
+        assert code != MdsCode(code.generator, "explicit")
+        assert code != make_systematic(5, 3, f11)
 
 
 class TestLoadExplicit:
@@ -289,8 +309,7 @@ def non_mds_f11_code():
     f11 = PrimeField(11)
     gen = make_vandermonde(5, 3, f11).generator.array.copy()
     gen[:, 2] = gen[:, 1]
-    return MdsCode(n=5, k=3, field=f11, generator=FieldMatrix(gen, f11),
-                   style="explicit")
+    return MdsCode(generator=FieldMatrix(gen, f11), style="explicit")
 
 
 class TestPivotMemo:

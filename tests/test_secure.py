@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 
@@ -103,6 +104,71 @@ class TestLayout:
         assert np.array_equal(again.random_symbols, layout.random_symbols)
         assert again.matrix.a1 == layout.matrix.a1
         assert isinstance(again, SecureLayout)
+
+
+class TestLayoutIsItsValues:
+    """A layout is its sizes, seed, protected type and payload; every
+    construction derives the random symbols and the matrix from them."""
+
+    def test_constructor_fields(self):
+        assert [f.name for f in dataclasses.fields(SecureLayout)] == [
+            "k", "l1", "l2", "field", "seed", "protected_type", "payload"]
+
+    def test_replace_protected_type_rebuilds_matrix(self, f11):
+        layout = make_secure_layout(list(range(8)), 2, 0, 4, f11, seed=3)
+        flipped = dataclasses.replace(layout, protected_type=2)
+        assert np.array_equal(flipped.matrix.a1.array, layout.matrix.a1.array.T)
+        assert np.array_equal(recover_payload(flipped, flipped.matrix),
+                              np.arange(8))
+        assert flipped.random_cols == (0, 1, 4, 5, 8, 9, 12, 13)
+
+    def test_replace_payload_rebuilds_matrix(self, f11):
+        for protected in (1, 2):
+            layout = make_secure_layout(list(range(8)), 1, 1, 4, f11, seed=5,
+                                        protected_type=protected)
+            other = dataclasses.replace(layout, payload=[7] * 8)
+            assert np.array_equal(recover_payload(other, other.matrix), [7] * 8)
+            assert np.array_equal(other.random_symbols, layout.random_symbols)
+
+    def test_replace_refuses_what_make_secure_layout_refuses(self, f11):
+        layout = make_secure_layout(list(range(8)), 2, 0, 4, f11)
+        for change, error in [({"payload": [1, 2, 3]}, BadPayloadLength),
+                              ({"protected_type": 3}, ValueError),
+                              ({"l2": 2}, BudgetExceeded)]:
+            args = {"payload": list(range(8)), "l1": 2, "l2": 0, "k": 4,
+                    "field": f11, "protected_type": 1, **change}
+            with pytest.raises(error) as made:
+                make_secure_layout(**args)
+            with pytest.raises(error) as replaced:
+                dataclasses.replace(layout, **change)
+            assert str(replaced.value) == str(made.value)
+
+    @pytest.mark.parametrize("protected", [1, 2])
+    def test_matches_reference_formulas(self, f11, protected):
+        # the leading-random-columns block, transposed for protected type 2
+        rng = np.random.default_rng(protected)
+        for k in range(1, 7):
+            for l in range(k):
+                payload = f11.uniform(rng, k * (k - l))
+                layout = make_secure_layout(payload, l - l // 2, l // 2, k, f11,
+                                            seed=k * 10 + l,
+                                            protected_type=protected)
+                rand = f11.uniform(np.random.default_rng(k * 10 + l), k * l)
+                block = np.concatenate([rand, payload]).reshape((k, k), order="F")
+                if protected == 1:
+                    random_cols = tuple(range(k * l))
+                    a1 = block
+                else:
+                    random_cols = tuple(j for j in range(k * k) if j % k < l)
+                    a1 = block.T
+                assert layout.random_cols == random_cols
+                assert layout.payload_cols == tuple(
+                    j for j in range(k * k) if j not in random_cols)
+                assert np.array_equal(layout.matrix.a1.array, a1)
+                msg = build_message_matrix(f11.uniform(rng, k * k), k, f11)
+                back = msg.a1.array if protected == 1 else msg.a1.array.T
+                assert np.array_equal(recover_payload(layout, msg),
+                                      back.flatten(order="F")[k * l:])
 
 
 class TestGuarantee:

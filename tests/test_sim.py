@@ -41,8 +41,7 @@ def non_spanning_config(k=2):
     f11 = PrimeField(11)
     g = make_vandermonde(k + 2, k, f11).generator.array.copy()
     g[:, 1] = 2 * g[:, 0] % 11
-    code1 = MdsCode(n=k + 2, k=k, field=f11, style="explicit",
-                    generator=FieldMatrix(g, f11))
+    code1 = MdsCode(style="explicit", generator=FieldMatrix(g, f11))
     config = TwinConfig(code1, make_vandermonde(k + 2, k, f11))
     return config, make_secure_layout([0] * k, k - 1, 0, k, f11)
 
@@ -56,8 +55,7 @@ def spanning_non_mds_config():
     for dependent, source in ((4, 3), (5, 0)):
         g = make_vandermonde(6, 3, f11).generator.array.copy()
         g[:, dependent] = 2 * g[:, source] % 11
-        codes.append(MdsCode(n=6, k=3, field=f11, style="explicit",
-                             generator=FieldMatrix(g, f11)))
+        codes.append(MdsCode(style="explicit", generator=FieldMatrix(g, f11)))
     return TwinConfig(*codes)
 
 
