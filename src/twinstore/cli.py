@@ -93,23 +93,24 @@ def sweep_report_text(report: dict) -> str:
     writes only the report head and `worst_leakage`, and the `specs` rows
     (`sim.SweepResult.rows`) go through a writer of their fixed schema:
     e1 and e2 as lists of [type, index] pairs, then guaranteed, l1, l2,
-    leakage and rank, with each node's text cached.
+    leakage and rank.  Each node list's text is cached under its tuple of
+    (type, index) tuples, so an e1 that repeats across rows is written
+    once; rows holding lists, as json.loads gives them, are keyed by their
+    tuple form.
     """
     head, tail = json.dumps({**report, "specs": None}, sort_keys=True,
                             indent=2).split('"specs": null')
-    node_text = {}
+    list_text = {}
 
     def node_list(pairs):
-        if not pairs:
-            return "[]"
-        parts = []
-        for t, j in pairs:
-            text = node_text.get((t, j))
-            if text is None:
-                text = node_text[(t, j)] = (
-                    f"        [\n          {t},\n          {j}\n        ]")
-            parts.append(text)
-        return "[\n" + ",\n".join(parts) + "\n      ]"
+        if type(pairs) is not tuple:
+            pairs = tuple(map(tuple, pairs))
+        text = list_text.get(pairs)
+        if text is None:
+            text = list_text[pairs] = "[\n" + ",\n".join(
+                f"        [\n          {t},\n          {j}\n        ]"
+                for t, j in pairs) + "\n      ]" if pairs else "[]"
+        return text
 
     rows = ",\n".join(
         f'    {{\n      "e1": {node_list(r["e1"])},\n'

@@ -8,20 +8,19 @@ statement: with uniform independent randomness and payload,
 
     I(payload; e) = (rank(M) - rank(M restricted to random columns)) * log q.
 
-`leakage` and `independent_symbol_count` evaluate rank(M) and that rank
-gap in closed form from the ranks of the observed nodes' generator
-columns, `secure.column_ranks`, which `observe` records.  Reports and
-sweep rows read the one guarantee predicate, every node protected and
-u' = |nodes|, from the same record.  Those ranks and observe's
-helper-span check read one memo per code, `MdsCode.pivots`, keyed by the
-observed position set, so a sweep eliminates once per distinct set of
-generator columns, not once per spec (`sim.sweep_eavesdroppers` says how
-a sweep also shares one verdict between specs).  Type 1 nodes whose
-generator columns span U1, of dimension u1, expose F^k (x) U1, Type 2
-nodes whose columns span U2, of dimension u2, expose U2 (x) F^k, and the
-two meet in U2 (x) U1, so
-
-    rank(M) = k(u1 + u2) - u1*u2.
+`verdict_of_ranks` is the one home of the closed forms of rank(M) and
+that rank gap, and it reads the one guarantee predicate, every node
+protected and u' = |nodes|: all three depend only on the number of
+observed nodes and the ranks of their generator columns,
+`secure.column_ranks`.  Type 1 nodes whose generator columns span U1
+expose F^k (x) U1, Type 2 nodes whose columns span U2 expose U2 (x) F^k,
+and the two meet in U2 (x) U1.  A report reads the verdict from the
+ranks `observe` records; a sweep row from `column_ranks` of its node
+set, read once per distinct set (`sim.sweep_eavesdroppers` says why that
+is exact).  Those ranks and observe's helper-span check read one
+memo per code, `MdsCode.pivots`, keyed by the observed position set, so
+a sweep eliminates once per distinct set of generator columns, not once
+per spec.
 
 Both closed forms hold for every observation `observe` accepts, MDS
 code or not, since it refuses a repair whose helpers do not span F^k, as
@@ -211,39 +210,47 @@ def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
     return {(t, j): default_helpers(system, t) for t, j in spec.e2}
 
 
-def independent_symbol_count(obs: Observation) -> int:
-    """Number of linearly independent observed symbols: rank(M), in closed form.
-
-    With u1 and u2 the ranks of the observed Type 1 and Type 2 generator
-    columns, the observed space is F^k (x) U1 + U2 (x) F^k, whose two
-    terms meet in U2 (x) U1:
-
-        rank(M) = k(u1 + u2) - u1*u2.
-    """
-    u, _, v = obs.column_ranks
-    return obs.config.k * (u + v) - u * v
-
-
-def leakage(obs: Observation) -> int:
-    """Exact q-ary leakage rank(M) - rank(M|random), in closed form.
+def verdict_of_ranks(k: int, l: int, size: int, ranks) -> dict:
+    """Rank, leakage and the zero-leakage guarantee of `size` observed nodes
+    whose `secure.column_ranks` are (u, u', v), for dimension k and a
+    layout of budget l: the one home of the closed forms.
 
     Storing a Type 1 node with generator column g exposes the functionals
     x^T A g for every x, i.e. F^k (x) g; a Type 2 node exposes g (x) F^k.
     An observed repair of a node through k helpers whose columns span F^k
-    exposes exactly the repaired node's own space.  For a layout with
-    budget l protecting type P, let u = rank of the observed type-P
-    columns, u' = rank of their first l rows and v = rank of the observed
-    other-type columns; counting dimensions of the observed space and of
-    its projection onto the random band gives
+    exposes exactly the repaired node's own space.  With u the rank of the
+    observed protected-type columns, u' the rank of their first l rows and
+    v the rank of the observed other-type columns, the observed space is
+    F^k (x) U + V (x) F^k up to orientation, whose two terms meet in a
+    u*v-dimensional space; counting dimensions of it and of its
+    projection onto the random band gives
 
+        rank(M) = k(u + v) - u*v,
         leakage = (k - v)(u - u') + v(k - l).
 
-    observe() reads all three from `secure.column_ranks`, and
-    `independent_symbol_count` shares them.
+    The guarantee is `secure.zero_leakage_guaranteed`.
     """
-    u, u_low, v = obs.column_ranks
-    k, l = obs.config.k, obs.layout.budget
-    return (k - v) * (u - u_low) + v * (k - l)
+    u, u_low, v = ranks
+    return {"rank": k * (u + v) - u * v,
+            "leakage": (k - v) * (u - u_low) + v * (k - l),
+            "guaranteed": zero_leakage_guaranteed(size, ranks)}
+
+
+def _observed_verdict(obs: Observation) -> dict:
+    return verdict_of_ranks(obs.config.k, obs.layout.budget, len(obs.nodes),
+                            obs.column_ranks)
+
+
+def independent_symbol_count(obs: Observation) -> int:
+    """Number of linearly independent observed symbols: rank(M), in closed
+    form (`verdict_of_ranks`)."""
+    return _observed_verdict(obs)["rank"]
+
+
+def leakage(obs: Observation) -> int:
+    """Exact q-ary leakage rank(M) - rank(M|random), in closed form
+    (`verdict_of_ranks`)."""
+    return _observed_verdict(obs)["leakage"]
 
 
 def leakage_by_elimination(obs: Observation) -> int:
@@ -266,11 +273,10 @@ def revealed_symbols(obs: Observation) -> set:
     """Labels of source coordinates fully determined by the observation.
 
     With U1 and U2 the column spaces of the observed Type 1 and Type 2
-    generator columns, the observed space is F^k (x) U1 + U2 (x) F^k (see
-    `independent_symbol_count`), and the quotient of all k*k functionals
-    by it is (F^k/U2) (x) (F^k/U1).  Entry (a, b) of A, source coordinate
-    b*k + a, maps there to [e_a] (x) [e_b], which vanishes iff e_b lies in
-    U1 or e_a in U2.  A unit vector lies in a row space iff some row of
+    generator columns, the observed space is F^k (x) U1 + U2 (x) F^k, and
+    the quotient of all k*k functionals by it is (F^k/U2) (x) (F^k/U1).
+    Entry (a, b) of A, source coordinate b*k + a, maps there to
+    [e_a] (x) [e_b], which vanishes iff e_b lies in U1 or e_a in U2.  A unit vector lies in a row space iff some row of
     its RREF is that unit vector, so one small RREF of the observed
     columns per node type decides every coordinate.  Exact for every
     observation `observe` accepts, since it refuses helpers that do not
@@ -336,9 +342,12 @@ def brute_force_mi(obs: Observation, max_states: int = 10**6) -> float:
 
 
 def _verdict(obs: Observation) -> dict:
-    """Rank, leakage and the zero-leakage guarantee of one observation."""
+    """Rank, leakage and the zero-leakage guarantee of one observation,
+    read through `independent_symbol_count` and `leakage`, the oracle's
+    entry points that perfbench/tracer.py times."""
     return {"rank": independent_symbol_count(obs), "leakage": leakage(obs),
-            "guaranteed": zero_leakage_guaranteed(obs.nodes, obs.column_ranks)}
+            "guaranteed": zero_leakage_guaranteed(len(obs.nodes),
+                                                  obs.column_ranks)}
 
 
 def eavesdrop_report(system: TwinSystem, layout: SecureLayout,

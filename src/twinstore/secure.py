@@ -15,12 +15,13 @@ sets of the other type generally leak, which the leakage oracle reports
 honestly.
 
 The zero-leakage guarantee is deliberately conservative, one predicate
-that reports and sweep rows read from the observation: every node
-protected and u' = |nodes|, i.e. every eavesdropped node is of the
-protected type and the first l rows of that type's generator at the
-eavesdropped columns have full column rank.  Full-Vandermonde generators
-satisfy that for every set of at most l protected nodes, so they are the
-default style for secure systems; the leakage oracle measures the rest.
+that reports and sweep rows read through `eavesdrop.verdict_of_ranks`:
+every node protected and u' = |nodes|, i.e. every eavesdropped node is
+of the protected type and the first l rows of that type's generator at
+the eavesdropped columns have full column rank.  Full-Vandermonde
+generators satisfy that for every set of at most l protected nodes, so
+they are the default style for secure systems; the leakage oracle
+measures the rest.
 """
 
 from __future__ import annotations
@@ -171,12 +172,13 @@ class SecrecyGuarantee:
     reason: GuaranteeReason
 
 
-def zero_leakage_guaranteed(nodes, ranks) -> bool:
-    """Every node protected and u' = |nodes|, for the nodes' `column_ranks`
-    (u, u', v).  u' counts only protected-type pivots in the first l rows,
-    so u' = |nodes| alone says that every node is protected (hence v = 0)
-    and that |nodes| <= l; the empty set passes with u' = 0."""
-    return ranks[1] == len(nodes)
+def zero_leakage_guaranteed(size: int, ranks) -> bool:
+    """Every node protected and u' = |nodes|, for `size` = |nodes| and the
+    nodes' `column_ranks` (u, u', v).  u' counts only protected-type pivots
+    in the first l rows, so u' = |nodes| alone says that every node is
+    protected (hence v = 0) and that |nodes| <= l; the empty set passes
+    with u' = 0."""
+    return ranks[1] == size
 
 
 def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
@@ -196,7 +198,7 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     if (len(set(nodes)) != len(nodes)
             or any(t != own or not 1 <= j <= code.n for t, j in nodes)
             or not zero_leakage_guaranteed(
-                nodes, column_ranks(config, layout, nodes))):
+                len(nodes), column_ranks(config, layout, nodes))):
         return SecrecyGuarantee(False, GuaranteeReason.NOT_GUARANTEED)
     reason = (GuaranteeReason.SUBMATRIX_FULL_RANK
               if nodes and code.style != "vandermonde"

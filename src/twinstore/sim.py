@@ -24,7 +24,8 @@ from math import comb
 import numpy as np
 
 from . import framework, loader
-from .eavesdrop import EavesdropperSpec, _verdict, eavesdrop_report, observe
+from .eavesdrop import (EavesdropperSpec, _verdict, eavesdrop_report, observe,
+                        verdict_of_ranks)
 from .errors import (
     MalformedInput,
     MalformedScenario,
@@ -33,7 +34,7 @@ from .errors import (
     WrongHelperType,
 )
 from .framework import TwinConfig, TwinSystem, opposite_type
-from .secure import SecureLayout
+from .secure import SecureLayout, column_ranks
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +241,11 @@ def run(scenario: Scenario) -> EventLog:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One row per eavesdropper spec, in enumeration order: e1 and e2 as
+    sorted tuples of (type, index) tuples, as `EavesdropperSpec.of` makes
+    them (json writes them as lists of [type, index] pairs), then l1, l2
+    and the spec's verdict, rank, leakage and guaranteed."""
+
     rows: tuple
     worst_leakage: dict  # (l1, l2) -> max leakage observed
     exhaustive: bool
@@ -258,23 +264,26 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
 
     Splits the budget into (l1, l2) pairs; when the total number of
     (e1, e2) choices exceeds enumeration_limit, each split is sampled
-    with the given seed instead.
+    with the given seed instead.  Each row keeps the enumeration's e1 and
+    e2 tuples (`SweepResult`), which rows may share.
 
     One verdict is evaluated per distinct observed node set e1 | e2 and
     reused by every spec with that union.  That is exact: rank, leakage
-    and the guarantee read only `column_ranks` of the set and its size,
-    however it splits into storage reads and observed repairs, because an
-    observed repair through helpers that span F^k exposes exactly the
-    repaired node's own space.  Whether `observe` refuses a spec depends
-    only on which node types its e2 holds, since each failed type's
-    helpers are fixed here.  So a spec whose e2 holds a type no earlier
-    call has accepted is observed as it is, with its repair plans: every
-    spec refused one by one is refused here, with the same error.  Every
-    other new node set is observed once as storage reads of the whole
-    union, with no plans to check.  Either way `observe` runs once per
-    distinct union in exhaustive order, and plans reach it at most once
-    per failed type.  Each row gets fresh e1/e2 lists made from the
-    enumerated node tuples.
+    and the guarantee read only `column_ranks` of the set and its size
+    (`eavesdrop.verdict_of_ranks`), however it splits into storage reads
+    and observed repairs, because an observed repair through helpers that
+    span F^k exposes exactly the repaired node's own space.  Of the checks
+    `observe` makes, all but the plan check are settled once per sweep:
+    `encode_system` raises a field or k mismatch, the budget is capped at
+    k - 1 and the enumeration names only nodes that exist.  Whether
+    `observe` refuses a plan depends only on which node types a spec's e2
+    holds, since each failed type's helpers are fixed here.  So a spec
+    whose e2 holds a type no earlier call has accepted is observed as it
+    is, with its repair plans: every spec refused one by one is refused
+    here, with the same error.  Only those specs reach `observe`; every
+    other new node set is judged by one `column_ranks` read.  In
+    exhaustive order that is one evaluation per distinct union, and plans
+    reach `observe` at most once per failed type.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
@@ -294,7 +303,7 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
         for l1, l2 in splits:
             if exhaustive:
                 for e1 in combinations(nodes, l1):
-                    rest = [x for x in nodes if x not in e1]
+                    rest = [x for x in nodes if x not in e1] if l2 else ()
                     for e2 in combinations(rest, l2):
                         yield l1, l2, e1, e2
             else:
@@ -310,6 +319,7 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
                     seen.add((e1, e2))
                     yield l1, l2, e1, e2
 
+    k, l = config.k, layout.budget
     rows = []
     worst = {}
     verdicts = {}       # sorted e1 | e2 -> verdict
@@ -324,10 +334,9 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
         else:
             verdict = verdicts.get(union)
             if verdict is None:
-                verdict = verdicts[union] = _verdict(observe(
-                    system, layout, EavesdropperSpec(e1=union, e2=()), {}))
-        rows.append({"e1": [list(x) for x in e1], "e2": [list(x) for x in e2],
-                     "l1": l1, "l2": l2, **verdict})
+                verdict = verdicts[union] = verdict_of_ranks(
+                    k, l, len(union), column_ranks(config, layout, union))
+        rows.append({"e1": e1, "e2": e2, "l1": l1, "l2": l2, **verdict})
         if verdict["leakage"] > worst.get((l1, l2), -1):
             worst[(l1, l2)] = verdict["leakage"]
     return SweepResult(rows=tuple(rows), worst_leakage=worst,

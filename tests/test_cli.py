@@ -43,6 +43,23 @@ def pinned_sweep_argv(style, out):
             "--l1", "1", "--l2", "1", "--style", style, "--out", str(out)]
 
 
+SAMPLED_SWEEP_DIGESTS = [
+    ("vandermonde",
+     "a6fa22f9cdaeb0fea28ea9d95a56411bceacea8fbbf589ec482bb882e1f5e82f"),
+    ("systematic",
+     "ef7c7d7be19229bf97c014499799569a49eef63cdc72bdf26b6b6109ca6dcc48"),
+]
+
+
+def sampled_sweep_argv(style, out):
+    """Seeded sampled sweep at q=101, k=4, n1=n2=22, l1=2, l2=1: 105,952
+    specs of three nodes exceed the enumeration limit, so each split draws
+    up to 500 of them, 3,589 rows in all."""
+    return ["eavesdrop", "--q", "101", "--k", "4", "--n1", "22", "--n2", "22",
+            "--l1", "2", "--l2", "1", "--seed", "0", "--style", style,
+            "--out", str(out)]
+
+
 class TestBounds:
     def test_fig5_row_count(self, tmp_path, capsys):
         out = tmp_path / "fig5.csv"
@@ -293,25 +310,31 @@ class TestEavesdrop:
         assert len(eliminations) == len(position_sets) < specs / 4
 
     @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
-    def test_pinned_sweep_observes_once_per_node_set(
+    def test_pinned_sweep_evaluates_once_per_node_set(
             self, tmp_path, monkeypatch, style, digest):
         # one verdict per distinct e1 | e2: 1 + 11 + 55 sets of at most two
-        # of the 11 nodes, each first met as a set of observed repairs
-        calls = []
-        raw_observe = sim.observe
+        # of the 11 nodes, each from an observe call or one column_ranks
+        # read of the sweep
+        unions = []
+        raw_observe, raw_column_ranks = sim.observe, sim.column_ranks
 
         def counting_observe(system, layout, spec, plans):
-            calls.append(spec.e1 + spec.e2)
+            unions.append(tuple(sorted(spec.e1 + spec.e2)))
             return raw_observe(system, layout, spec, plans)
 
+        def counting_column_ranks(config, layout, nodes):
+            unions.append(tuple(sorted(nodes)))
+            return raw_column_ranks(config, layout, nodes)
+
         monkeypatch.setattr(sim, "observe", counting_observe)
+        monkeypatch.setattr(sim, "column_ranks", counting_column_ranks)
         out = tmp_path / "sweep.json"
         assert main(pinned_sweep_argv(style, out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        unions = {tuple(sorted(map(tuple, r["e1"] + r["e2"])))
-                  for r in json.loads(out.read_text())["specs"]}
-        assert len(calls) == len(unions) == 67
-        assert {tuple(sorted(c)) for c in calls} == unions
+        expected = {tuple(sorted(map(tuple, r["e1"] + r["e2"])))
+                    for r in json.loads(out.read_text())["specs"]}
+        assert len(unions) == len(set(unions)) == len(expected) == 67
+        assert set(unions) == expected
 
     @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
     def test_pinned_sweep_checks_plans_once_per_failed_type(
@@ -333,6 +356,14 @@ class TestEavesdrop:
         assert main(pinned_sweep_argv(style, out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert plans == [{(1, 1): (1, 2, 3, 4)}, {(2, 1): (1, 2, 3, 4)}]
+
+    @pytest.mark.parametrize("style, digest", SAMPLED_SWEEP_DIGESTS)
+    def test_sampled_sweep_report_bytes_pinned(self, tmp_path, style, digest):
+        out = tmp_path / "sweep.json"
+        assert main(sampled_sweep_argv(style, out)) == 0
+        data = out.read_bytes()
+        assert json.loads(data)["exhaustive"] is False
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_sweep_helpers_not_spanning_exits_1(self, monkeypatch, capsys):
         config, _ = non_spanning_config()
@@ -385,6 +416,17 @@ WORST_LEAKAGE = st.lists(st.fixed_dictionaries({
     "exhaustive": st.booleans(), "worst_leakage": WORST_LEAKAGE,
     "specs": st.lists(SWEEP_ROWS, max_size=6)}))
 @example(report={"exhaustive": True, "worst_leakage": [], "specs": []})
+@example(report={  # tuple rows, as sweep_eavesdroppers makes them, then
+    "exhaustive": True,  # a list row of the same nodes
+    "worst_leakage": [{"l1": 2, "l2": 0, "leakage": 4}],
+    "specs": [{"e1": ((1, 1), (2, 3)), "e2": (), "guaranteed": False,
+               "l1": 2, "l2": 0, "leakage": 4, "rank": 7},
+              {"e1": ((1, 1),), "e2": ((2, 3),), "guaranteed": False,
+               "l1": 1, "l2": 1, "leakage": 4, "rank": 7},
+              {"e1": ((1, 1),), "e2": ((2, 4),), "guaranteed": True,
+               "l1": 1, "l2": 1, "leakage": 0, "rank": 7},
+              {"e1": [[1, 1]], "e2": [[2, 3]], "guaranteed": False,
+               "l1": 1, "l2": 1, "leakage": 4, "rank": 7}]})
 @example(report={
     "exhaustive": False,
     "worst_leakage": [{"l1": 0, "l2": 1, "leakage": 12}],

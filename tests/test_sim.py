@@ -332,7 +332,7 @@ class TestSweep:
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=2)
         assert result.exhaustive
         hit = [r for r in result.rows
-               if r["e1"] == [[1, 1], [2, 2]] and r["e2"] == []]
+               if r["e1"] == ((1, 1), (2, 2)) and r["e2"] == ()]
         assert len(hit) == 1
         assert hit[0]["rank"] == 7
         assert hit[0]["leakage"] == 2
@@ -361,7 +361,8 @@ class TestSweep:
             spec = EavesdropperSpec.of(row["e1"], row["e2"])
             report = eavesdrop_report(system, layout, spec,
                                       default_repair_plans(system, spec))
-            assert report["spec"] == {"e1": row["e1"], "e2": row["e2"]}
+            assert report["spec"] == EavesdropperSpec(
+                e1=row["e1"], e2=row["e2"]).to_json_dict()
             for key in ("rank", "leakage", "guaranteed"):
                 assert row[key] == report[key], (row, report)
             assert row["guaranteed"] == guaranteed_secure_set(
@@ -394,6 +395,29 @@ class TestSweep:
             obs = observe(system, layout, spec, default_repair_plans(system, spec))
             assert row == {"e1": row["e1"], "e2": row["e2"], "l1": len(spec.e1),
                            "l2": len(spec.e2), **_verdict(obs)}, row
+
+    @pytest.mark.parametrize("kind", ["exhaustive", "sampled", "explicit"])
+    def test_rows_keep_spec_tuples(self, f11, kind):
+        # each row's e1 and e2 are the sorted tuples of (type, index)
+        # tuples that EavesdropperSpec.of makes of them
+        if kind == "explicit":
+            config = spanning_non_mds_config()
+        else:
+            config = build_config(f11, 5, 6, 4)
+        k = config.k
+        layout = make_secure_layout([0] * k * (k - 2), 1, 1, k, f11)
+        result = sweep_eavesdroppers(
+            config, layout, max_budget=k - 1, seed=1, samples_per_split=12,
+            enumeration_limit=50 if kind == "sampled" else 10**5)
+        assert result.exhaustive == (kind != "sampled")
+        for row in result.rows:
+            spec = EavesdropperSpec.of(row["e1"], row["e2"])
+            assert (row["e1"], row["e2"]) == (spec.e1, spec.e2), row
+            for pairs in (row["e1"], row["e2"]):
+                assert type(pairs) is tuple
+                assert all(type(pair) is tuple and len(pair) == 2
+                           and all(type(x) is int for x in pair)
+                           for pair in pairs), row
 
     def test_budget_zero_single_row(self, demo_config, demo_layout):
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=0)
