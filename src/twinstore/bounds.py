@@ -33,8 +33,6 @@ class BoundParams:
     d: int
     alpha: Fraction
     beta: Fraction
-    l1: int = 0
-    l2: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -44,8 +42,6 @@ class BoundParams:
         if self.beta < 0 or self.beta > self.alpha:
             raise ValueError(f"need 0 <= beta <= alpha, got beta={self.beta}, "
                              f"alpha={self.alpha}")
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("eavesdropper counts must be nonnegative")
 
     @property
     def gamma(self) -> Fraction:

@@ -8,19 +8,19 @@ statement: with uniform independent randomness and payload,
 
     I(payload; e) = (rank(M) - rank(M restricted to random columns)) * log q.
 
-`verdict_of_ranks` is the one home of the closed forms of rank(M) and
-that rank gap, and it reads the one guarantee predicate, every node
-protected and u' = |nodes|: all three depend only on the number of
-observed nodes and the ranks of their generator columns,
-`secure.column_ranks`.  Type 1 nodes whose generator columns span U1
-expose F^k (x) U1, Type 2 nodes whose columns span U2 expose U2 (x) F^k,
-and the two meet in U2 (x) U1.  A report reads the verdict from the
-ranks `observe` records; a sweep row from `column_ranks` of its node
-set, read once per distinct set (`sim.sweep_eavesdroppers` says why that
-is exact).  Those ranks and observe's helper-span check read one
-memo per code, `MdsCode.pivots`, keyed by the observed position set, so
-a sweep eliminates once per distinct set of generator columns, not once
-per spec.
+`secure.node_set_verdict` is the one home of the closed forms of rank(M)
+and that rank gap, and of the guarantee predicate, every node protected
+and u' = |nodes|: all three depend only on the number of observed nodes
+and the ranks of their generator columns.  Type 1 nodes whose generator
+columns span U1 expose F^k (x) U1, Type 2 nodes whose columns span U2
+expose U2 (x) F^k, and the two meet in U2 (x) U1.  A report reads the
+verdict `observe` records; a sweep row reads it once per distinct node
+set (`sim.sweep_eavesdroppers` says why that is exact).  The verdict,
+observe's helper-span check and the revealed set read one memoized row
+space per code and observed position set, `MdsCode.row_space`, so a
+report eliminates once per distinct set of generator columns and a
+sweep once per distinct set, not once per spec; this module eliminates
+no generator columns itself.
 
 Both closed forms hold for every observation `observe` accepts, MDS
 code or not, since it refuses a repair whose helpers do not span F^k, as
@@ -32,16 +32,17 @@ mutual information computed by enumerating every source vector.
 `revealed_symbols`, the source coordinates the eavesdropper learns
 outright, has a closed form too.  The quotient of all functionals by the
 observed space is (F^k/U2) (x) (F^k/U1), so entry (a, b) of A is revealed
-iff e_b lies in U1 or e_a in U2: one small RREF of the observed generator
-columns per node type decides every coordinate, with no RREF of M.
+iff e_b lies in U1 or e_a in U2: the memoized row space of the observed
+generator columns of each node type decides every coordinate, with no
+RREF of M.
 
 `observe`, the only constructor of `Observation`, validates a spec and
 records the config and layout, the observed nodes (type, index, and the
-helpers of an observed repair) and the column ranks (u, u', v).  The
-rows of M are assembled symbolically from generator columns, so the
-result is a property of the scheme rather than of one random draw, and
-only when something reads `obs.matrix` or `obs.values`: the elimination
-references and `brute_force_mi`.  Rank, leakage and the revealed set
+helpers of an observed repair) and their verdict.  The rows of M are
+assembled symbolically from generator columns, so the result is a
+property of the scheme rather than of one random draw, and only when
+something reads `obs.matrix` or `obs.values`: the elimination references
+and `brute_force_mi`.  Rank, leakage and the revealed set
 never do.
 """
 
@@ -63,20 +64,22 @@ from .errors import (
 )
 from .field import FieldMatrix, _pivot_columns
 from .framework import TwinConfig, TwinSystem, default_helpers, opposite_type
-from .secure import SecureLayout, column_ranks, zero_leakage_guaranteed
+from .secure import SecureLayout, node_set_verdict
 
 
 @dataclass(frozen=True)
 class EavesdropperSpec:
-    """Nodes whose storage (e1) or repair downloads (e2) are observed."""
+    """Nodes whose storage (e1) or repair downloads (e2) are observed, each
+    a sorted tuple of (type, index) pairs of ints.  Every construction
+    (`dataclasses.replace` too) normalizes them and checks that every type
+    is 1 or 2, that e1 and e2 are disjoint and that no node repeats."""
 
     e1: tuple
     e2: tuple
 
-    @classmethod
-    def of(cls, e1=(), e2=()) -> "EavesdropperSpec":
-        e1 = tuple(sorted((int(t), int(j)) for t, j in e1))
-        e2 = tuple(sorted((int(t), int(j)) for t, j in e2))
+    def __post_init__(self):
+        e1 = tuple(sorted((int(t), int(j)) for t, j in self.e1))
+        e2 = tuple(sorted((int(t), int(j)) for t, j in self.e2))
         for t, j in e1 + e2:
             if t not in (1, 2):
                 raise ValueError(f"node type must be 1 or 2, got ({t}, {j})")
@@ -84,6 +87,11 @@ class EavesdropperSpec:
             raise ValueError(f"e1 and e2 must be disjoint: {set(e1) & set(e2)}")
         if len(set(e1)) != len(e1) or len(set(e2)) != len(e2):
             raise ValueError("duplicate node references in eavesdropper spec")
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+
+    @classmethod
+    def of(cls, e1=(), e2=()) -> "EavesdropperSpec":
         return cls(e1=e1, e2=e2)
 
     @property
@@ -101,16 +109,15 @@ class Observation:
 
     `nodes` holds one (type, index, helpers or None) entry per observed
     node: None for a storage read, the k helper indices for an observed
-    repair.  `column_ranks` is (u, u', v): the rank of the observed
-    protected-type generator columns, the rank of their first l rows and
-    the rank of the observed other-type columns.  The matrix M and its
+    repair.  `verdict` is the nodes' `secure.node_set_verdict`: rank(M),
+    the leakage and the zero-leakage guarantee.  The matrix M and its
     observed values are assembled from `nodes` on first read.
     """
 
     config: TwinConfig
     layout: SecureLayout
     nodes: tuple
-    column_ranks: tuple
+    verdict: dict
 
     @cached_property
     def matrix(self) -> FieldMatrix:
@@ -160,10 +167,10 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     used for its observed repair; the functionals do not depend on when
     the repair happened, only on which helpers served it.  Every node and
     plan is validated here, before anything is assembled; a node outside
-    its code fails in `MdsCode.pivots`; helpers that do not span F^k raise
-    SingularSubmatrix, as in repair().  The column ranks (u, u', v)
-    (`secure.column_ranks`) and the span check come from each code's
-    memoized `MdsCode.pivots`, so a sweep eliminates once per distinct
+    its code fails in `MdsCode.row_space`; helpers that do not span F^k
+    raise SingularSubmatrix, as in repair().  The verdict
+    (`secure.node_set_verdict`) and the span check come from each code's
+    memoized `MdsCode.row_space`, so a sweep eliminates once per distinct
     position set rather than once per spec.
     """
     config = system.config
@@ -200,9 +207,9 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
             )
         nodes.append((node_type, j, helpers))
 
-    ranks = column_ranks(config, layout, [(t, j) for t, j, _ in nodes])
+    verdict = node_set_verdict(config, layout, [(t, j) for t, j, _ in nodes])
     return Observation(config=config, layout=layout, nodes=tuple(nodes),
-                       column_ranks=ranks)
+                       verdict=verdict)
 
 
 def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
@@ -210,47 +217,16 @@ def default_repair_plans(system: TwinSystem, spec: EavesdropperSpec) -> dict:
     return {(t, j): default_helpers(system, t) for t, j in spec.e2}
 
 
-def verdict_of_ranks(k: int, l: int, size: int, ranks) -> dict:
-    """Rank, leakage and the zero-leakage guarantee of `size` observed nodes
-    whose `secure.column_ranks` are (u, u', v), for dimension k and a
-    layout of budget l: the one home of the closed forms.
-
-    Storing a Type 1 node with generator column g exposes the functionals
-    x^T A g for every x, i.e. F^k (x) g; a Type 2 node exposes g (x) F^k.
-    An observed repair of a node through k helpers whose columns span F^k
-    exposes exactly the repaired node's own space.  With u the rank of the
-    observed protected-type columns, u' the rank of their first l rows and
-    v the rank of the observed other-type columns, the observed space is
-    F^k (x) U + V (x) F^k up to orientation, whose two terms meet in a
-    u*v-dimensional space; counting dimensions of it and of its
-    projection onto the random band gives
-
-        rank(M) = k(u + v) - u*v,
-        leakage = (k - v)(u - u') + v(k - l).
-
-    The guarantee is `secure.zero_leakage_guaranteed`.
-    """
-    u, u_low, v = ranks
-    return {"rank": k * (u + v) - u * v,
-            "leakage": (k - v) * (u - u_low) + v * (k - l),
-            "guaranteed": zero_leakage_guaranteed(size, ranks)}
-
-
-def _observed_verdict(obs: Observation) -> dict:
-    return verdict_of_ranks(obs.config.k, obs.layout.budget, len(obs.nodes),
-                            obs.column_ranks)
-
-
 def independent_symbol_count(obs: Observation) -> int:
     """Number of linearly independent observed symbols: rank(M), in closed
-    form (`verdict_of_ranks`)."""
-    return _observed_verdict(obs)["rank"]
+    form (`secure.node_set_verdict`)."""
+    return obs.verdict["rank"]
 
 
 def leakage(obs: Observation) -> int:
     """Exact q-ary leakage rank(M) - rank(M|random), in closed form
-    (`verdict_of_ranks`)."""
-    return _observed_verdict(obs)["leakage"]
+    (`secure.node_set_verdict`)."""
+    return obs.verdict["leakage"]
 
 
 def leakage_by_elimination(obs: Observation) -> int:
@@ -276,20 +252,21 @@ def revealed_symbols(obs: Observation) -> set:
     generator columns, the observed space is F^k (x) U1 + U2 (x) F^k, and
     the quotient of all k*k functionals by it is (F^k/U2) (x) (F^k/U1).
     Entry (a, b) of A, source coordinate b*k + a, maps there to
-    [e_a] (x) [e_b], which vanishes iff e_b lies in U1 or e_a in U2.  A unit vector lies in a row space iff some row of
-    its RREF is that unit vector, so one small RREF of the observed
-    columns per node type decides every coordinate.  Exact for every
-    observation `observe` accepts, since it refuses helpers that do not
-    span F^k; an observation of no nodes reveals nothing.
+    [e_a] (x) [e_b], which vanishes iff e_b lies in U1 or e_a in U2.  A
+    unit vector lies in a row space iff some row of its RREF is that unit
+    vector, so the memoized RREF of the observed columns of each node type
+    (`MdsCode.row_space`, already computed for the verdict) decides every
+    coordinate.  Exact for every observation `observe` accepts, since it
+    refuses helpers that do not span F^k; an observation of no nodes
+    reveals nothing.
     """
     config, k = obs.config, obs.config.k
     units = []
     for node_type in (1, 2):
-        cols = [j - 1 for t, j, _ in obs.nodes if t == node_type]
-        rref = FieldMatrix(config.code_for(node_type).generator.array[:, cols].T,
-                           config.field).rref().array
+        rows, _ = config.code_for(node_type).row_space(
+            [j for t, j, _ in obs.nodes if t == node_type])
         units.append(set(np.nonzero(
-            rref[np.count_nonzero(rref, axis=1) == 1])[1].tolist()))
+            rows[np.count_nonzero(rows, axis=1) == 1])[1].tolist()))
     in_u1, in_u2 = units
     return {obs.layout.label(b * k + a) for b in range(k) for a in range(k)
             if b in in_u1 or a in in_u2}
@@ -346,8 +323,7 @@ def _verdict(obs: Observation) -> dict:
     read through `independent_symbol_count` and `leakage`, the oracle's
     entry points that perfbench/tracer.py times."""
     return {"rank": independent_symbol_count(obs), "leakage": leakage(obs),
-            "guaranteed": zero_leakage_guaranteed(len(obs.nodes),
-                                                  obs.column_ranks)}
+            "guaranteed": obs.verdict["guaranteed"]}
 
 
 def eavesdrop_report(system: TwinSystem, layout: SecureLayout,

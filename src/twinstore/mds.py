@@ -34,7 +34,7 @@ from .errors import (
     TooFewPoints,
     UnverifiedCode,
 )
-from .field import FieldMatrix, PrimeField, _pivot_columns, _row_reduce
+from .field import FieldMatrix, PrimeField, _row_reduce
 
 # Cap for exhaustive k x k minor verification: C(20, 10) ~ 184k minors.
 MINOR_CHECK_MAX_N = 20
@@ -69,35 +69,47 @@ class MdsCode:
             raise DimensionMismatch(f"position {j} outside [1, {self.n}]")
         return self.generator.column(j - 1)
 
-    def pivots(self, positions) -> tuple:
-        """Pivot columns of the generator columns at the 1-based positions,
-        stacked as rows and brought to row echelon form.
+    def row_space(self, positions) -> tuple:
+        """(rows, pivots): the generator columns at the 1-based positions,
+        stacked as rows and brought to reduced row echelon form.
 
-        Their count is the rank of those columns, and the pivots below l
-        count the rank of the columns' first l rows.  Both depend only on
-        the row space, so the lookup is keyed by the sorted set of
-        positions and memoized on this immutable code: a caller pays one
-        elimination per distinct position set.
+        `rows` holds the nonzero rows (read-only) and `pivots` their pivot
+        columns.  Both depend only on the row space, so the lookup is keyed
+        by the sorted set of positions and memoized on this immutable code:
+        a caller pays one elimination per distinct position set, and none
+        for the empty set.
         """
         key = tuple(sorted({int(j) for j in positions}))
-        memo = self._pivot_memo
+        memo = self._row_space_memo
         if key not in memo:
             if key and not (1 <= key[0] and key[-1] <= self.n):
                 raise DimensionMismatch(f"positions {key} outside [1, {self.n}]")
-            cols = self.generator.array[:, [j - 1 for j in key]]
-            memo[key] = _pivot_columns(cols.T, self.field.p)
+            stacked = self.generator.array[:, [j - 1 for j in key]].T
+            reduced, pivots = (_row_reduce(stacked, self.field.p) if key
+                               else (stacked, ()))
+            rows = reduced[:len(pivots)]
+            rows.flags.writeable = False
+            memo[key] = rows, pivots
         return memo[key]
+
+    def pivots(self, positions) -> tuple:
+        """Pivot columns of `row_space(positions)`.
+
+        Their count is the rank of those generator columns, and the pivots
+        below l count the rank of the columns' first l rows.
+        """
+        return self.row_space(positions)[1]
 
     def spans(self, positions) -> bool:
         """True iff the generator columns at the 1-based positions span F^k.
 
         Any k positions of an MDS code do, but a hand-built code need not
-        be MDS, so the rank is read from the shared `pivots` memo.
+        be MDS, so the rank is read from the shared `row_space` memo.
         """
         return len(self.pivots(positions)) == self.k
 
     @cached_property
-    def _pivot_memo(self) -> dict:
+    def _row_space_memo(self) -> dict:
         return {}
 
     def __repr__(self):

@@ -1,4 +1,4 @@
-"""Secrecy layer: random-padded message layouts and the zero-leakage predicate.
+"""Secrecy layer: random-padded message layouts and the leakage verdict.
 
 Against an eavesdropper that reads l1 nodes' storage and observes l2
 nodes' repair downloads (l = l1 + l2 < k), the message matrix devotes
@@ -14,14 +14,17 @@ random rows instead.  A layout therefore commits to a protected type
 sets of the other type generally leak, which the leakage oracle reports
 honestly.
 
-The zero-leakage guarantee is deliberately conservative, one predicate
-that reports and sweep rows read through `eavesdrop.verdict_of_ranks`:
-every node protected and u' = |nodes|, i.e. every eavesdropped node is
-of the protected type and the first l rows of that type's generator at
-the eavesdropped columns have full column rank.  Full-Vandermonde
-generators satisfy that for every set of at most l protected nodes, so
-they are the default style for secure systems; the leakage oracle
-measures the rest.
+One function, `node_set_verdict`, maps an observed node set to its
+verdict: rank(M) and the leakage in closed form, and the zero-leakage
+guarantee.  Reports, sweep rows and `guaranteed_secure_set` all read it,
+and it reads the ranks of the observed generator columns from each
+code's memoized `MdsCode.row_space`.  The guarantee is deliberately
+conservative: every node protected and u' = |nodes|, i.e. every
+eavesdropped node is of the protected type and the first l rows of that
+type's generator at the eavesdropped columns have full column rank.
+Full-Vandermonde generators satisfy that for every set of at most l
+protected nodes, so they are the default style for secure systems; the
+leakage oracle measures the rest.
 """
 
 from __future__ import annotations
@@ -143,23 +146,6 @@ def recover_payload(layout: SecureLayout, msg: MessageMatrix) -> np.ndarray:
     return msg.flatten()[layout._slots[layout.k * layout.budget:]]
 
 
-def column_ranks(config: TwinConfig, layout: SecureLayout, nodes) -> tuple:
-    """(u, u', v) of the observed (type, index) nodes: the rank of the
-    protected type's generator columns, the rank of their first l rows
-    (their pivots below l) and the rank of the other type's columns.
-
-    Read from each code's memoized `MdsCode.pivots`, which raises
-    DimensionMismatch for an index outside its code.
-    """
-    own = layout.protected_type
-    mine, theirs = [], []
-    for t, j in nodes:
-        (mine if t == own else theirs).append(j)
-    pivots = config.code_for(own).pivots(mine)
-    other = config.code_for(opposite_type(own)).pivots(theirs)
-    return (len(pivots), sum(1 for c in pivots if c < layout.budget), len(other))
-
-
 class GuaranteeReason(enum.Enum):
     ALL_SAME_TYPE_WITHIN_BUDGET = "AllSameTypeWithinBudget"
     SUBMATRIX_FULL_RANK = "SubmatrixFullRank"
@@ -172,13 +158,43 @@ class SecrecyGuarantee:
     reason: GuaranteeReason
 
 
-def zero_leakage_guaranteed(size: int, ranks) -> bool:
-    """Every node protected and u' = |nodes|, for `size` = |nodes| and the
-    nodes' `column_ranks` (u, u', v).  u' counts only protected-type pivots
-    in the first l rows, so u' = |nodes| alone says that every node is
-    protected (hence v = 0) and that |nodes| <= l; the empty set passes
-    with u' = 0."""
-    return ranks[1] == size
+def node_set_verdict(config: TwinConfig, layout: SecureLayout, nodes) -> dict:
+    """Rank, leakage and the zero-leakage guarantee of the observed
+    (type, index) nodes: the one home of the leakage oracle's closed forms.
+
+    Storing a Type 1 node with generator column g exposes the functionals
+    x^T A g for every x, i.e. F^k (x) g; a Type 2 node exposes g (x) F^k.
+    An observed repair of a node through k helpers whose columns span F^k
+    exposes exactly the repaired node's own space, so storage reads and
+    observed repairs count alike.  With u the rank of the observed
+    protected-type generator columns, u' the rank of their first l rows and
+    v the rank of the observed other-type columns, the observed space is
+    F^k (x) U + V (x) F^k up to orientation, whose two terms meet in a
+    u*v-dimensional space; counting dimensions of it and of its
+    projection onto the random band gives
+
+        rank(M) = k(u + v) - u*v,
+        leakage = (k - v)(u - u') + v(k - l).
+
+    Zero leakage is guaranteed when every node is protected and u' =
+    |nodes|.  u' counts only protected-type pivots in the first l rows, so
+    u' = |nodes| alone says that every node is protected (hence v = 0),
+    that no node repeats and that |nodes| <= l; the empty set passes with
+    u' = 0.  The ranks are read from each code's memoized
+    `MdsCode.pivots`, which raises DimensionMismatch for an index outside
+    its code.
+    """
+    own = layout.protected_type
+    mine, theirs = [], []
+    for t, j in nodes:
+        (mine if t == own else theirs).append(j)
+    pivots = config.code_for(own).pivots(mine)
+    v = len(config.code_for(opposite_type(own)).pivots(theirs))
+    k, l, u = config.k, layout.budget, len(pivots)
+    u_low = sum(1 for c in pivots if c < l)
+    return {"rank": k * (u + v) - u * v,
+            "leakage": (k - v) * (u - u_low) + v * (k - l),
+            "guaranteed": u_low == len(nodes)}
 
 
 def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
@@ -188,17 +204,15 @@ def guaranteed_secure_set(config: TwinConfig, layout: SecureLayout,
     e1_nodes / e2_nodes are iterables of (type, index) pairs: storage reads
     and observed repairs.  An observed repair exposes exactly the row space
     of the repaired node's content, so both sets reduce to generator columns.
-    Sufficient, not necessary: `zero_leakage_guaranteed`.  Returns
-    NotGuaranteed (never raises) for a repeated node, a node outside the
-    protected type or its code, or a set the predicate rejects.
+    Sufficient, not necessary: `node_set_verdict`.  Returns NotGuaranteed
+    (never raises) for a node outside the protected type or its code, or a
+    set the verdict rejects, a repeated node among them.
     """
     nodes = [(int(t), int(j)) for t, j in (*e1_nodes, *e2_nodes)]
     own = layout.protected_type
     code = config.code_for(own)
-    if (len(set(nodes)) != len(nodes)
-            or any(t != own or not 1 <= j <= code.n for t, j in nodes)
-            or not zero_leakage_guaranteed(
-                len(nodes), column_ranks(config, layout, nodes))):
+    if (any(t != own or not 1 <= j <= code.n for t, j in nodes)
+            or not node_set_verdict(config, layout, nodes)["guaranteed"]):
         return SecrecyGuarantee(False, GuaranteeReason.NOT_GUARANTEED)
     reason = (GuaranteeReason.SUBMATRIX_FULL_RANK
               if nodes and code.style != "vandermonde"

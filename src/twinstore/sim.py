@@ -24,8 +24,7 @@ from math import comb
 import numpy as np
 
 from . import framework, loader
-from .eavesdrop import (EavesdropperSpec, _verdict, eavesdrop_report, observe,
-                        verdict_of_ranks)
+from .eavesdrop import EavesdropperSpec, _verdict, eavesdrop_report, observe
 from .errors import (
     MalformedInput,
     MalformedScenario,
@@ -34,7 +33,7 @@ from .errors import (
     WrongHelperType,
 )
 from .framework import TwinConfig, TwinSystem, opposite_type
-from .secure import SecureLayout, column_ranks
+from .secure import SecureLayout, node_set_verdict
 
 
 # ----------------------------------------------------------------------
@@ -269,21 +268,21 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
 
     One verdict is evaluated per distinct observed node set e1 | e2 and
     reused by every spec with that union.  That is exact: rank, leakage
-    and the guarantee read only `column_ranks` of the set and its size
-    (`eavesdrop.verdict_of_ranks`), however it splits into storage reads
-    and observed repairs, because an observed repair through helpers that
-    span F^k exposes exactly the repaired node's own space.  Of the checks
-    `observe` makes, all but the plan check are settled once per sweep:
-    `encode_system` raises a field or k mismatch, the budget is capped at
-    k - 1 and the enumeration names only nodes that exist.  Whether
-    `observe` refuses a plan depends only on which node types a spec's e2
-    holds, since each failed type's helpers are fixed here.  So a spec
-    whose e2 holds a type no earlier call has accepted is observed as it
-    is, with its repair plans: every spec refused one by one is refused
-    here, with the same error.  Only those specs reach `observe`; every
-    other new node set is judged by one `column_ranks` read.  In
-    exhaustive order that is one evaluation per distinct union, and plans
-    reach `observe` at most once per failed type.
+    and the guarantee are `secure.node_set_verdict` of the set, however it
+    splits into storage reads and observed repairs, because an observed
+    repair through helpers that span F^k exposes exactly the repaired
+    node's own space.  Of the checks `observe` makes, all but the plan
+    check are settled once per sweep: `encode_system` raises a field or k
+    mismatch, the budget is capped at k - 1 and the enumeration names only
+    nodes that exist.  Whether `observe` refuses a plan depends only on
+    which node types a spec's e2 holds, since each failed type's helpers
+    are fixed here.  So a spec whose e2 holds a type no earlier call has
+    accepted is observed as it is, with its repair plans: every spec
+    refused one by one is refused here, with the same error.  Only those
+    specs reach `observe`; every other new node set is judged by one
+    `node_set_verdict` call.  In exhaustive order that is one evaluation
+    per distinct union, and plans reach `observe` at most once per failed
+    type.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
@@ -319,7 +318,6 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
                     seen.add((e1, e2))
                     yield l1, l2, e1, e2
 
-    k, l = config.k, layout.budget
     rows = []
     worst = {}
     verdicts = {}       # sorted e1 | e2 -> verdict
@@ -334,8 +332,8 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
         else:
             verdict = verdicts.get(union)
             if verdict is None:
-                verdict = verdicts[union] = verdict_of_ranks(
-                    k, l, len(union), column_ranks(config, layout, union))
+                verdict = verdicts[union] = node_set_verdict(config, layout,
+                                                             union)
         rows.append({"e1": e1, "e2": e2, "l1": l1, "l2": l2, **verdict})
         if verdict["leakage"] > worst.get((l1, l2), -1):
             worst[(l1, l2)] = verdict["leakage"]

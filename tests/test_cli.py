@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import twinstore
-from twinstore import eavesdrop, field, loader, make_secure_layout, sim, \
+from twinstore import eavesdrop, field, loader, make_secure_layout, mds, sim, \
     sweep_eavesdroppers
 from twinstore.cli import build_parser, cmd_eavesdrop, main, sweep_report_text
 from twinstore.demo import DEMO_G1, DEMO_G2
@@ -299,7 +299,9 @@ class TestEavesdrop:
             finally:
                 sweeping.pop()
 
-        monkeypatch.setattr(field, "_row_reduce", counting_reduce)
+        # the codes' row spaces eliminate through the name mds imports
+        for module in (field, mds):
+            monkeypatch.setattr(module, "_row_reduce", counting_reduce)
         monkeypatch.setattr(MdsCode, "pivots", recording_pivots)
         monkeypatch.setattr(sim, "sweep_eavesdroppers", sweep)
         out = tmp_path / "sweep.json"
@@ -313,21 +315,21 @@ class TestEavesdrop:
     def test_pinned_sweep_evaluates_once_per_node_set(
             self, tmp_path, monkeypatch, style, digest):
         # one verdict per distinct e1 | e2: 1 + 11 + 55 sets of at most two
-        # of the 11 nodes, each from an observe call or one column_ranks
-        # read of the sweep
+        # of the 11 nodes, each from an observe call or one node_set_verdict
+        # call of the sweep
         unions = []
-        raw_observe, raw_column_ranks = sim.observe, sim.column_ranks
+        raw_observe, raw_node_set_verdict = sim.observe, sim.node_set_verdict
 
         def counting_observe(system, layout, spec, plans):
             unions.append(tuple(sorted(spec.e1 + spec.e2)))
             return raw_observe(system, layout, spec, plans)
 
-        def counting_column_ranks(config, layout, nodes):
+        def counting_node_set_verdict(config, layout, nodes):
             unions.append(tuple(sorted(nodes)))
-            return raw_column_ranks(config, layout, nodes)
+            return raw_node_set_verdict(config, layout, nodes)
 
         monkeypatch.setattr(sim, "observe", counting_observe)
-        monkeypatch.setattr(sim, "column_ranks", counting_column_ranks)
+        monkeypatch.setattr(sim, "node_set_verdict", counting_node_set_verdict)
         out = tmp_path / "sweep.json"
         assert main(pinned_sweep_argv(style, out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

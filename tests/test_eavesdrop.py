@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,9 +36,9 @@ from twinstore.errors import (
     MissingRepairPlan,
     SingularSubmatrix,
 )
-from twinstore import eavesdrop, mds
+from twinstore import eavesdrop, field, mds
 from twinstore.demo import build_demo_config, build_demo_layout
-from twinstore.field import _pivot_columns, vstack
+from twinstore.field import vstack
 
 from conftest import build_config
 
@@ -62,6 +63,38 @@ class TestSpec:
             EavesdropperSpec.of([(3, 1)], [])
         with pytest.raises(ValueError):
             EavesdropperSpec.of([], [(0, 2)])
+
+    # every way of building a spec: the factory, the plain constructor and
+    # dataclasses.replace of a valid spec
+    BUILDERS = [
+        EavesdropperSpec.of,
+        EavesdropperSpec,
+        lambda e1, e2: dataclasses.replace(EavesdropperSpec.of([(1, 1)]),
+                                           e1=e1, e2=e2),
+    ]
+
+    @pytest.mark.parametrize("e1, e2, message", [
+        (((1, 1),), ((1, 1),), "disjoint"),
+        (((1, 2), (1, 2)), (), "duplicate"),
+        ((), ((2, 3), (2, 3)), "duplicate"),
+        (((3, 1),), (), "node type"),
+        ([(1, 1)], [(0, 2)], "node type"),
+    ])
+    def test_every_construction_checks(self, e1, e2, message):
+        for build in self.BUILDERS:
+            with pytest.raises(ValueError, match=message):
+                build(e1=e1, e2=e2)
+
+    def test_every_construction_normalizes(self):
+        e1, e2 = [[np.int64(1), 2], (1, 1)], [(2, 4), [2, np.int32(3)]]
+        specs = [build(e1=e1, e2=e2) for build in self.BUILDERS]
+        for spec in specs:
+            assert spec == specs[0]
+            assert spec.e1 == ((1, 1), (1, 2)) and spec.e2 == ((2, 3), (2, 4))
+            assert all(type(x) is int for node in spec.e1 + spec.e2
+                       for x in node)
+            assert spec.to_json_dict() == {"e1": [[1, 1], [1, 2]],
+                                           "e2": [[2, 3], [2, 4]]}
 
 
 class TestObserve:
@@ -427,19 +460,19 @@ class TestClosedFormLeakage:
             accepted_repairs, refused)
 
     def test_rank_and_leakage_share_one_column_rank_pass(self, monkeypatch):
-        # a fresh config, so the codes' pivot memos start empty
+        # a fresh config, so the codes' row-space memos start empty
         config = build_config(PrimeField(11), 5, 5, 4)
         layout = make_secure_layout(list(range(8)), 1, 1, 4, PrimeField(11),
                                     seed=7)
         system = encode_system(config, layout.matrix)
         shapes = []
+        raw_reduce = mds._row_reduce
 
-        def counting(arr, p):
+        def counting(arr, *args, **kwargs):
             shapes.append(arr.shape)
-            return _pivot_columns(arr, p)
+            return raw_reduce(arr, *args, **kwargs)
 
-        monkeypatch.setattr(mds, "_pivot_columns", counting)
-        monkeypatch.setattr(eavesdrop, "_pivot_columns", counting)
+        monkeypatch.setattr(mds, "_row_reduce", counting)
         spec = EavesdropperSpec.of([(1, 1), (2, 3)], [(2, 2)])
         obs = observe(system, layout, spec, {(2, 2): (1, 3, 4, 5)})
         # at observe time: the helper set, then one pass over the
@@ -452,6 +485,39 @@ class TestClosedFormLeakage:
         observe(system, layout, spec, {(2, 2): (5, 4, 3, 1)})
         assert len(shapes) == 3
         assert (leakage_by_elimination(obs), obs.matrix.rank()) == (4, 10)
+
+    @pytest.mark.parametrize("e1, e2, plans", [
+        ([], [], {}),
+        ([(1, 2)], [], {}),
+        ([(1, 1), (2, 3)], [(2, 2)], {(2, 2): (1, 3, 4, 5)}),
+        ([], [(1, 1), (2, 4)], {(1, 1): (1, 2, 3, 4), (2, 4): (2, 3, 4, 5)}),
+    ])
+    def test_report_eliminates_each_column_set_once(self, monkeypatch, e1,
+                                                     e2, plans):
+        # on fresh codes a report eliminates once per non-empty observed
+        # node type and once per observed repair's helper set; the
+        # revealed set and a repeated report read the codes' row spaces
+        config = build_config(PrimeField(11), 5, 5, 4)
+        layout = make_secure_layout(list(range(8)), 1, 1, 4, PrimeField(11),
+                                    seed=7)
+        system = encode_system(config, layout.matrix)
+        eliminations = []
+        for module in (field, mds):
+            def counting(arr, *args, raw=module._row_reduce, **kwargs):
+                eliminations.append(arr.shape)
+                return raw(arr, *args, **kwargs)
+            monkeypatch.setattr(module, "_row_reduce", counting)
+        spec = EavesdropperSpec.of(e1, e2)
+        expected = len({t for t, _ in e1 + e2}) + len(plans)
+        obs = observe(system, layout, spec, plans)
+        assert len(eliminations) == expected
+        revealed = revealed_symbols(obs)
+        assert len(eliminations) == expected
+        report = eavesdrop_report(system, layout, spec, plans)
+        assert eavesdrop_report(system, layout, spec, plans) == report
+        assert len(eliminations) == expected
+        assert report["revealed"] == sorted(
+            revealed, key=lambda s: (s[0], int(s[1:])))
 
 
 class TestIndependentSymbolCount:

@@ -352,6 +352,22 @@ class TestPivotMemo:
             with pytest.raises(DimensionMismatch):
                 code.pivots(bad)
 
+    def test_row_space_is_the_nonzero_rref(self, code):
+        # the nonzero rows of the RREF of the stacked columns, read-only,
+        # shared by every lookup of the same position set
+        for size in range(code.n + 1):
+            for positions in combinations(range(1, code.n + 1), size):
+                rows, pivots = code.row_space(positions)
+                stacked = code.generator.take_columns(
+                    [j - 1 for j in positions]).T
+                rref = stacked.rref().array
+                assert rows.shape == (len(pivots), code.k)
+                assert np.array_equal(rows, rref[:len(pivots)])
+                assert not rref[len(pivots):].any()
+                assert pivots == code.pivots(positions[::-1])
+                assert code.row_space(positions[::-1])[0] is rows
+                assert not rows.flags.writeable
+
 
 class TestEncodeRow:
     def test_systematic_prefix(self, f11):
