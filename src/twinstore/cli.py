@@ -96,7 +96,9 @@ def sweep_report_text(report: dict) -> str:
     leakage and rank.  Each node list's text is cached under its tuple of
     (type, index) tuples, so an e1 that repeats across rows is written
     once; rows holding lists, as json.loads gives them, are keyed by their
-    tuple form.
+    tuple form.  Each row's closing text is cached the same way, under its
+    five values, of which a sweep holds a few hundred distinct tuples.
+    The pieces are joined once, so no row's text is copied twice.
     """
     head, tail = json.dumps({**report, "specs": None}, sort_keys=True,
                             indent=2).split('"specs": null')
@@ -112,15 +114,27 @@ def sweep_report_text(report: dict) -> str:
                 for t, j in pairs) + "\n      ]" if pairs else "[]"
         return text
 
-    rows = ",\n".join(
-        f'    {{\n      "e1": {node_list(r["e1"])},\n'
-        f'      "e2": {node_list(r["e2"])},\n'
-        f'      "guaranteed": {"true" if r["guaranteed"] else "false"},\n'
-        f'      "l1": {r["l1"]},\n      "l2": {r["l2"]},\n'
-        f'      "leakage": {r["leakage"]},\n      "rank": {r["rank"]}\n    }}'
-        for r in report["specs"])
-    specs = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head}"specs": {specs}{tail}\n'
+    closing_text = {}
+
+    def closing(r):
+        key = r["guaranteed"], r["l1"], r["l2"], r["leakage"], r["rank"]
+        text = closing_text.get(key)
+        if text is None:
+            guaranteed, l1, l2, leak, rank = key
+            text = closing_text[key] = (
+                f'      "guaranteed": {"true" if guaranteed else "false"},\n'
+                f'      "l1": {l1},\n      "l2": {l2},\n'
+                f'      "leakage": {leak},\n      "rank": {rank}\n    }}')
+        return text
+
+    parts = [head, '"specs": [\n']
+    for r in report["specs"]:
+        parts += ('    {\n      "e1": ', node_list(r["e1"]), ',\n      "e2": ',
+                  node_list(r["e2"]), ",\n", closing(r), ",\n")
+    # the last row's separator closes the list; no row leaves it empty
+    parts[-1] = "\n  ]" if len(parts) > 2 else '"specs": []'
+    parts += (tail, "\n")
+    return "".join(parts)
 
 
 def cmd_eavesdrop(args) -> int:

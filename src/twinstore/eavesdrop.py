@@ -15,12 +15,15 @@ and the ranks of their generator columns.  Type 1 nodes whose generator
 columns span U1 expose F^k (x) U1, Type 2 nodes whose columns span U2
 expose U2 (x) F^k, and the two meet in U2 (x) U1.  A report reads the
 verdict `observe` records; a sweep row reads it once per distinct node
-set (`sim.sweep_eavesdroppers` says why that is exact).  The verdict,
-observe's helper-span check and the revealed set read one memoized row
-space per code and observed position set, `MdsCode.row_space`, so a
-report eliminates once per distinct set of generator columns and a
-sweep once per distinct set, not once per spec; this module eliminates
-no generator columns itself.
+set (`sim.sweep_eavesdroppers` says why that is exact).  The verdict
+and observe's helper-span check read each code's `MdsCode.column_ranks`,
+arithmetic on counts for the two built-in styles, so a sweep of a
+built-in config eliminates nothing.  An explicit code's ranks, and the
+revealed set of every code, come from one memoized row space per code
+and observed position set, `MdsCode.row_space`, so a report eliminates
+at most once per distinct set of generator columns and a sweep once per
+distinct set, not once per spec; this module eliminates no generator
+columns itself.
 
 Both closed forms hold for every observation `observe` accepts, MDS
 code or not, since it refuses a repair whose helpers do not span F^k, as
@@ -167,11 +170,12 @@ def observe(system: TwinSystem, layout: SecureLayout, spec: EavesdropperSpec,
     used for its observed repair; the functionals do not depend on when
     the repair happened, only on which helpers served it.  Every node and
     plan is validated here, before anything is assembled; a node outside
-    its code fails in `MdsCode.row_space`; helpers that do not span F^k
+    its code fails in `MdsCode.column_ranks`; helpers that do not span F^k
     raise SingularSubmatrix, as in repair().  The verdict
-    (`secure.node_set_verdict`) and the span check come from each code's
-    memoized `MdsCode.row_space`, so a sweep eliminates once per distinct
-    position set rather than once per spec.
+    (`secure.node_set_verdict`) and the span check read each code's
+    `MdsCode.column_ranks`: counts for the built-in styles, the memoized
+    `MdsCode.row_space` for explicit codes, so a sweep eliminates at most
+    once per distinct position set rather than once per spec.
     """
     config = system.config
     k = config.k
@@ -255,9 +259,9 @@ def revealed_symbols(obs: Observation) -> set:
     [e_a] (x) [e_b], which vanishes iff e_b lies in U1 or e_a in U2.  A
     unit vector lies in a row space iff some row of its RREF is that unit
     vector, so the memoized RREF of the observed columns of each node type
-    (`MdsCode.row_space`, already computed for the verdict) decides every
-    coordinate.  Exact for every observation `observe` accepts, since it
-    refuses helpers that do not span F^k; an observation of no nodes
+    (`MdsCode.row_space`, which an explicit code's verdict shares) decides
+    every coordinate.  Exact for every observation `observe` accepts, since
+    it refuses helpers that do not span F^k; an observation of no nodes
     reveals nothing.
     """
     config, k = obs.config, obs.config.k

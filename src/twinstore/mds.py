@@ -45,7 +45,15 @@ class MdsCode:
     """A linear (n, k) code: its k x n generator, from which n, k and the
     field are read (and cached on first read).  The makers below build MDS
     codes; `MdsCode(generator, "explicit")` wraps any generator unchecked,
-    and `load_explicit` verifies it first."""
+    and `load_explicit` verifies it first.
+
+    The style is a promise about the generator, and `column_ranks` answers
+    from it without looking at the generator: "vandermonde" promises
+    x_j^i on distinct points, "systematic" the reduced form [I | P] of such
+    a code.  Only `make_vandermonde` and `make_systematic` make it, and the
+    snapshot loader rebuilds a stored built-in code from its points and
+    refuses one whose generator differs.  A generator built any other way
+    belongs in an "explicit" code, whose ranks come from elimination."""
 
     generator: FieldMatrix
     style: str  # "vandermonde" | "systematic" | "explicit"
@@ -100,13 +108,58 @@ class MdsCode:
         """
         return self.row_space(positions)[1]
 
+    def column_ranks(self, positions, l: int) -> tuple:
+        """(u, u'): the rank of the generator columns at the 1-based
+        positions, and the rank of their first l rows, 0 <= l <= k.
+
+        A repeated position counts once, and a position outside [1, n]
+        raises DimensionMismatch, as in `row_space`.  An explicit code
+        reads both ranks from the memoized `row_space`: u is the number of
+        its pivots and u' the number below l, which is the rank of the
+        first l coordinates of the stacked columns.  A built-in code
+        eliminates nothing and answers from counts, with a = |positions|:
+
+        - Vandermonde (the style's promise: entry x_j^i, distinct points):
+          u = min(a, k) and u' = min(a, l).  Proof: the first r rows of
+          the a columns form an r x a Vandermonde matrix.  Its leading
+          min(a, r) rows at any min(a, r) of its columns are a square
+          Vandermonde matrix, whose determinant prod(x_j - x_i) is
+          nonzero, so its rank is min(a, r); take r = k and r = l.
+        - Systematic (the style's promise: G = [I | P] of an MDS code, so
+          every square submatrix of P is nonsingular; MacWilliams &
+          Sloane, The Theory of Error-Correcting Codes, ch. 11 sec. 4,
+          Thm 8): u = min(a, k) and u' = j_l + min(t, l - j_l), with j_r
+          the number of positions <= r and t the number > k.  Proof: in
+          the first r <= k rows, an identity column j <= r is the unit
+          vector e_j and one with r < j <= k is zero.  Clearing those
+          j_r units leaves the other r - j_r of P's first r rows at the t
+          observed columns beyond k, a submatrix of P of rank
+          min(t, r - j_r).  So the rank is j_r + min(t, r - j_r), which
+          at r = k is min(a, k).
+        """
+        if not 0 <= l <= self.k:
+            raise DimensionMismatch(f"row count {l} outside [0, {self.k}]")
+        if self.style not in ("vandermonde", "systematic"):
+            pivots = self.pivots(positions)
+            return len(pivots), sum(1 for c in pivots if c < l)
+        key = {int(j) for j in positions}
+        if key and not (1 <= min(key) and max(key) <= self.n):
+            raise DimensionMismatch(
+                f"positions {tuple(sorted(key))} outside [1, {self.n}]")
+        a = len(key)
+        if self.style == "vandermonde":
+            return min(a, self.k), min(a, l)
+        low = sum(1 for j in key if j <= l)
+        beyond = sum(1 for j in key if j > self.k)
+        return min(a, self.k), low + min(beyond, l - low)
+
     def spans(self, positions) -> bool:
         """True iff the generator columns at the 1-based positions span F^k.
 
-        Any k positions of an MDS code do, but a hand-built code need not
-        be MDS, so the rank is read from the shared `row_space` memo.
+        Any k positions of an MDS code do, but a hand-built explicit code
+        need not be MDS, so the rank is read from `column_ranks`.
         """
-        return len(self.pivots(positions)) == self.k
+        return self.column_ranks(positions, 0)[0] == self.k
 
     @cached_property
     def _row_space_memo(self) -> dict:

@@ -18,10 +18,12 @@ One function, `node_set_verdict`, maps an observed node set to its
 verdict: rank(M) and the leakage in closed form, and the zero-leakage
 guarantee.  Reports, sweep rows and `guaranteed_secure_set` all read it,
 and it reads the ranks of the observed generator columns from each
-code's memoized `MdsCode.row_space`.  The guarantee is deliberately
-conservative: every node protected and u' = |nodes|, i.e. every
-eavesdropped node is of the protected type and the first l rows of that
-type's generator at the eavesdropped columns have full column rank.
+code's `MdsCode.column_ranks`: arithmetic on counts for the two built-in
+styles, the memoized `MdsCode.row_space` for explicit codes.  The
+guarantee is deliberately conservative: every node protected and
+u' = |nodes|, i.e. every eavesdropped node is of the protected type and
+the first l rows of that type's generator at the eavesdropped columns
+have full column rank.
 Full-Vandermonde generators satisfy that for every set of at most l
 protected nodes, so they are the default style for secure systems; the
 leakage oracle measures the rest.
@@ -177,21 +179,20 @@ def node_set_verdict(config: TwinConfig, layout: SecureLayout, nodes) -> dict:
         leakage = (k - v)(u - u') + v(k - l).
 
     Zero leakage is guaranteed when every node is protected and u' =
-    |nodes|.  u' counts only protected-type pivots in the first l rows, so
+    |nodes|.  u' is a rank of protected-type columns alone, so
     u' = |nodes| alone says that every node is protected (hence v = 0),
     that no node repeats and that |nodes| <= l; the empty set passes with
-    u' = 0.  The ranks are read from each code's memoized
-    `MdsCode.pivots`, which raises DimensionMismatch for an index outside
-    its code.
+    u' = 0.  The ranks are read from each code's `MdsCode.column_ranks`,
+    which counts a repeated index once and raises DimensionMismatch for an
+    index outside its code.
     """
     own = layout.protected_type
     mine, theirs = [], []
     for t, j in nodes:
         (mine if t == own else theirs).append(j)
-    pivots = config.code_for(own).pivots(mine)
-    v = len(config.code_for(opposite_type(own)).pivots(theirs))
-    k, l, u = config.k, layout.budget, len(pivots)
-    u_low = sum(1 for c in pivots if c < l)
+    k, l = config.k, layout.budget
+    u, u_low = config.code_for(own).column_ranks(mine, l)
+    v, _ = config.code_for(opposite_type(own)).column_ranks(theirs, l)
     return {"rank": k * (u + v) - u * v,
             "leakage": (k - v) * (u - u_low) + v * (k - l),
             "guaranteed": u_low == len(nodes)}

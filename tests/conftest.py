@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from twinstore import PrimeField, TwinConfig, encode_system
+from twinstore import MdsCode, PrimeField, TwinConfig, encode_system
 from twinstore.demo import build_demo_config, build_demo_layout
 
 # Sub-recommended connectivity (n < 2k-1) is exercised on purpose all over
@@ -36,6 +36,12 @@ def demo_system(demo_config, demo_layout):
 
 
 def build_config(field, n1, n2, k, style="vandermonde"):
+    """Both codes of one style; "explicit" wraps the Vandermonde
+    generators as explicit codes, whose ranks come from elimination."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return TwinConfig.build(field, n1, n2, k, style=style)
+        if style != "explicit":
+            return TwinConfig.build(field, n1, n2, k, style=style)
+        built = TwinConfig.build(field, n1, n2, k)
+        return TwinConfig(*(MdsCode(code.generator, "explicit")
+                            for code in (built.code1, built.code2)))

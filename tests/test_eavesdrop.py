@@ -39,6 +39,8 @@ from twinstore.errors import (
 from twinstore import eavesdrop, field, mds
 from twinstore.demo import build_demo_config, build_demo_layout
 from twinstore.field import vstack
+from twinstore.secure import node_set_verdict
+from twinstore.sim import sweep_eavesdroppers
 
 from conftest import build_config
 
@@ -460,8 +462,9 @@ class TestClosedFormLeakage:
             accepted_repairs, refused)
 
     def test_rank_and_leakage_share_one_column_rank_pass(self, monkeypatch):
-        # a fresh config, so the codes' row-space memos start empty
-        config = build_config(PrimeField(11), 5, 5, 4)
+        # a fresh explicit config, so the codes' row-space memos start
+        # empty and their ranks come from elimination
+        config = build_config(PrimeField(11), 5, 5, 4, style="explicit")
         layout = make_secure_layout(list(range(8)), 1, 1, 4, PrimeField(11),
                                     seed=7)
         system = encode_system(config, layout.matrix)
@@ -494,10 +497,10 @@ class TestClosedFormLeakage:
     ])
     def test_report_eliminates_each_column_set_once(self, monkeypatch, e1,
                                                      e2, plans):
-        # on fresh codes a report eliminates once per non-empty observed
-        # node type and once per observed repair's helper set; the
-        # revealed set and a repeated report read the codes' row spaces
-        config = build_config(PrimeField(11), 5, 5, 4)
+        # on fresh explicit codes a report eliminates once per non-empty
+        # observed node type and once per observed repair's helper set;
+        # the revealed set and a repeated report read the codes' row spaces
+        config = build_config(PrimeField(11), 5, 5, 4, style="explicit")
         layout = make_secure_layout(list(range(8)), 1, 1, 4, PrimeField(11),
                                     seed=7)
         system = encode_system(config, layout.matrix)
@@ -518,6 +521,35 @@ class TestClosedFormLeakage:
         assert len(eliminations) == expected
         assert report["revealed"] == sorted(
             revealed, key=lambda s: (s[0], int(s[1:])))
+
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
+    def test_built_in_verdicts_eliminate_nothing(self, monkeypatch, style):
+        # built-in codes answer the verdict and observe's span check from
+        # counts: no elimination and no row-space entry, in a report's
+        # observation or in a full sweep; only the revealed set eliminates
+        config = build_config(PrimeField(11), 5, 5, 4, style=style)
+        layout = make_secure_layout(list(range(8)), 1, 1, 4, PrimeField(11),
+                                    seed=7)
+        system = encode_system(config, layout.matrix)
+        eliminations = []
+        for module in (field, mds):
+            def counting(arr, *args, raw=module._row_reduce, **kwargs):
+                eliminations.append(arr.shape)
+                return raw(arr, *args, **kwargs)
+            monkeypatch.setattr(module, "_row_reduce", counting)
+        codes = (config.code1, config.code2)
+        spec = EavesdropperSpec.of([(1, 1)], [(2, 2), (1, 4)])
+        obs = observe(system, layout, spec, default_repair_plans(system, spec))
+        assert node_set_verdict(config, layout, [(1, 2), (2, 2), (2, 5)])
+        assert eliminations == []
+        assert all(code._row_space_memo == {} for code in codes)
+        sweep = sweep_eavesdroppers(config, layout, max_budget=3)
+        assert sweep.exhaustive and len(sweep.rows) > 1000
+        assert any(row["e2"] for row in sweep.rows)
+        assert eliminations == []
+        assert all(code._row_space_memo == {} for code in codes)
+        revealed_symbols(obs)
+        assert len(eliminations) == 2
 
 
 class TestIndependentSymbolCount:

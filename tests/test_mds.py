@@ -31,6 +31,7 @@ from twinstore.errors import (
     TooFewPoints,
     UnverifiedCode,
 )
+from twinstore import mds
 from twinstore.field import _pivot_columns, vstack
 from twinstore.mds import MINOR_CHECK_MAX_N
 
@@ -367,6 +368,68 @@ class TestPivotMemo:
                 assert pivots == code.pivots(positions[::-1])
                 assert code.row_space(positions[::-1])[0] is rows
                 assert not rows.flags.writeable
+
+
+class TestColumnRanks:
+    """MdsCode.column_ranks: the built-in styles' count formulas against
+    the ranks read from the same code's row space by elimination."""
+
+    @staticmethod
+    def built_in_codes(q, n, k):
+        # each style on the default points 0..n-1, which contain 0, and on
+        # a seeded draw of n distinct points in any order
+        field = PrimeField(q)
+        drawn = np.random.default_rng(q * n + k).permutation(q)[:n].tolist()
+        return [maker(n, k, field, points)
+                for maker in (make_vandermonde, make_systematic)
+                for points in (None, drawn)]
+
+    @pytest.mark.parametrize("q, n, k", [(3, 3, 2), (5, 4, 3), (7, 6, 4),
+                                         (11, 10, 5), (101, 11, 6)])
+    def test_counts_match_row_space_pivots(self, q, n, k):
+        for code in self.built_in_codes(q, n, k):
+            for size in range(n + 1):
+                for positions in combinations(range(1, n + 1), size):
+                    pivots = code.pivots(positions)
+                    # a repeated position counts once
+                    repeated = positions + positions[:1]
+                    for l in range(k + 1):
+                        want = (len(pivots), sum(1 for c in pivots if c < l))
+                        assert code.column_ranks(positions, l) == want, (
+                            code, code.eval_points, positions, l)
+                        assert code.column_ranks(repeated, l) == want
+
+    def test_explicit_codes_count_pivots(self):
+        code = non_mds_f11_code()  # columns 2 and 3 are equal
+        assert code.column_ranks((2, 3), 1) == (1, 1)
+        assert code.column_ranks((1, 2, 3, 4), 2) == (3, 2)
+        assert len(code._row_space_memo) == 2
+
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic", "non-mds"])
+    def test_edges_as_row_space(self, style):
+        if style == "non-mds":
+            code = non_mds_f11_code()
+        else:
+            code = self.built_in_codes(7, 6, 4)[style == "systematic"]
+        for bad in [(0,), (code.n + 1,), (1, code.n + 1), (2, 0, 2)]:
+            with pytest.raises(DimensionMismatch):
+                code.column_ranks(bad, 1)
+            with pytest.raises(DimensionMismatch):
+                code.row_space(bad)
+        for l in (-1, code.k + 1):
+            with pytest.raises(DimensionMismatch):
+                code.column_ranks((1,), l)
+        assert code.column_ranks((), 0) == (0, 0)
+
+    @pytest.mark.parametrize("maker", [make_vandermonde, make_systematic])
+    def test_built_in_codes_eliminate_nothing(self, monkeypatch, maker):
+        code = maker(9, 4, PrimeField(11))
+        monkeypatch.setattr(mds, "_row_reduce", None)
+        for size in range(code.n + 1):
+            for positions in combinations(range(1, code.n + 1), size):
+                code.column_ranks(positions, 2)
+                assert code.spans(positions) == (size >= code.k)
+        assert code._row_space_memo == {}
 
 
 class TestEncodeRow:

@@ -24,7 +24,7 @@ from twinstore.errors import (
     WrongHelperType,
 )
 from twinstore.demo import DEMO_G1, DEMO_G2
-from twinstore.eavesdrop import _verdict
+from twinstore.eavesdrop import leakage_by_elimination
 from twinstore.framework import TwinConfig
 from twinstore.mds import MdsCode, code_to_json, load_explicit, make_vandermonde
 from twinstore.field import FieldMatrix
@@ -376,7 +376,10 @@ class TestSweep:
     def test_rows_equal_verdict_of_own_spec(self, f11, style, protected_type,
                                             limit):
         # seeded sampled sweeps, and a non-MDS explicit code whose default
-        # helpers span: each row is its own spec observed with its plans
+        # helpers span: each row is its own spec observed with its plans,
+        # ranked by elimination of its matrix M; the guarantee is every
+        # node protected and, by elimination, the first l rows of their
+        # generator columns of full column rank
         if style == "explicit":
             config = spanning_non_mds_config()
         else:
@@ -390,11 +393,18 @@ class TestSweep:
                                      samples_per_split=12)
         assert result.exhaustive == (limit == 10**5)
         assert any(row["l2"] >= 1 for row in result.rows)
+        protected = config.code_for(protected_type).generator.array
         for row in result.rows:
             spec = EavesdropperSpec.of(row["e1"], row["e2"])
             obs = observe(system, layout, spec, default_repair_plans(system, spec))
+            nodes = spec.e1 + spec.e2
+            guaranteed = all(t == protected_type for t, _ in nodes) and (
+                not nodes or FieldMatrix(protected[:layout.budget, [
+                    j - 1 for _, j in nodes]], f11).rank() == len(nodes))
             assert row == {"e1": row["e1"], "e2": row["e2"], "l1": len(spec.e1),
-                           "l2": len(spec.e2), **_verdict(obs)}, row
+                           "l2": len(spec.e2), "rank": obs.matrix.rank(),
+                           "leakage": leakage_by_elimination(obs),
+                           "guaranteed": guaranteed}, row
 
     @pytest.mark.parametrize("kind", ["exhaustive", "sampled", "explicit"])
     def test_rows_keep_spec_tuples(self, f11, kind):
@@ -418,6 +428,27 @@ class TestSweep:
                 assert all(type(pair) is tuple and len(pair) == 2
                            and all(type(x) is int for x in pair)
                            for pair in pairs), row
+
+    def test_budget_capped_below_k(self):
+        # 10 nodes at k = 3: budgets 0, 1 and 2 give 1 + 20 + 180 specs
+        config = build_config(PrimeField(11), 5, 5, 3)
+        layout = make_secure_layout([0] * 3, 2, 0, 3, PrimeField(11))
+        result = sweep_eavesdroppers(config, layout, max_budget=5)
+        assert result.exhaustive and len(result.rows) == 201
+        assert all(row["l1"] + row["l2"] <= 2 for row in result.rows)
+        assert max(result.worst_leakage) == (2, 0)
+
+    def test_enumeration_limit_is_inclusive(self):
+        # the same 201 specs: enumerated at a limit of 201, sampled at 200
+        config = build_config(PrimeField(11), 5, 5, 3)
+        layout = make_secure_layout([0] * 3, 2, 0, 3, PrimeField(11))
+        at_limit = sweep_eavesdroppers(config, layout, max_budget=2,
+                                       enumeration_limit=201)
+        assert at_limit.exhaustive and len(at_limit.rows) == 201
+        below = sweep_eavesdroppers(config, layout, max_budget=2,
+                                    enumeration_limit=200, samples_per_split=3)
+        assert not below.exhaustive
+        assert len(below.rows) == 1 + 2 * 3 + 3 * 3
 
     def test_budget_zero_single_row(self, demo_config, demo_layout):
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=0)
