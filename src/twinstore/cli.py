@@ -139,7 +139,14 @@ def sweep_report_text(report: dict) -> str:
 
 def cmd_eavesdrop(args) -> int:
     """A single-spec report (--in) is written by json.dumps; a sweep
-    report by `sweep_report_text`, which writes the same bytes faster."""
+    report by `sweep_report_text`, which writes the same bytes faster.
+    An explicit config's generators come from --in, so it gets only
+    one-spec reports; explicit sweeps go through the library."""
+    if args.style == "explicit" and not args.infile:
+        raise MalformedInput(
+            "--style explicit needs --in: explicit generators come from --in "
+            "and get one-spec reports; sweep explicit codes through "
+            "twinstore.sim.sweep_eavesdroppers")
     doc = loader.read_json(args.infile) if args.infile else None
     config = _config(args, doc)
     layout = loader.layout(vars(args), config)  # flags l1, l2, seed; zero payload
@@ -218,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eavesdrop", help="leakage report or budget sweep")
     add_system_flags(p)
     p.add_argument("--in", default=None, dest="infile",
-                   help="spec JSON {e1: [[t,j]..], e2: [[t,j]..]}; omit to sweep")
+                   help="spec JSON {e1: [[t,j]..], e2: [[t,j]..]}, plus the "
+                        "generator documents for --style explicit, which "
+                        "only gets one-spec reports; omit to sweep a "
+                        "built-in style (explicit sweeps go through "
+                        "twinstore.sim.sweep_eavesdroppers)")
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_eavesdrop)
     return parser

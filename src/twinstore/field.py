@@ -12,8 +12,6 @@ every derived quantity (rank, rref, solutions) deterministic.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -26,16 +24,36 @@ from .errors import (
 _INT64_MAX = 2**63 - 1
 
 
+# Miller-Rabin to the bases 2, 7 and 61 is exact below this bound
+# (Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 1993),
+# which covers every modulus PrimeField accepts.
+_MILLER_RABIN_EXACT_BELOW = 4_759_123_141
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for moduli below 2^31."""
+    """Deterministic Miller-Rabin primality test to the bases 2, 7 and 61,
+    exact for n < 4,759,123,141; larger n raise ValueError."""
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below "
+                         f"{_MILLER_RABIN_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+    for base in (2, 7, 61):
+        if n % base == 0:
+            return n == base
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in (2, 7, 61):
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -14,14 +14,25 @@ sec. 4, Thm 8).  Each k-subset of columns maps to one minor of P, so all
 C(n, k) k x k minors are still checked exactly; explicit generators stay
 limited to n <= MINOR_CHECK_MAX_N = 20.
 
+Those minors are also the cofactors that invert any erased block of P.
+So an explicit code with n <= 20 whose generator passes the check keeps
+them after its first decode and decodes by Cramer's rule, with no
+elimination; that is exact because each minor is exact mod p and
+nonzero, and each product is reduced before a sum of them could
+overflow.  The built-in styles and every other explicit code decode by
+one k x k elimination.
+
 Node/codeword positions are 1-based on this module's surface.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +45,15 @@ from .errors import (
     TooFewPoints,
     UnverifiedCode,
 )
-from .field import FieldMatrix, PrimeField, _row_reduce
+from .field import _INT64_MAX, FieldMatrix, PrimeField, _matmul_arrays, _row_reduce
 
 # Cap for exhaustive k x k minor verification: C(20, 10) ~ 184k minors.
 MINOR_CHECK_MAX_N = 20
+
+# (-1)^(i+j), the cofactor signs of a square block of P, which has at most
+# min(k, n - k) <= 10 rows when n <= MINOR_CHECK_MAX_N
+_CHECKER = 1 - 2 * (np.add.outer(np.arange(10), np.arange(10)) % 2)
+_CHECKER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -165,6 +181,19 @@ class MdsCode:
     def _row_space_memo(self) -> dict:
         return {}
 
+    @cached_property
+    def _cramer_form(self):
+        """The `_SystematicForm` that `erasure_decode` solves with, for an
+        explicit code with n <= MINOR_CHECK_MAX_N whose generator passes
+        the minor check; None for every other code.  Built on first read,
+        it holds at most C(20, 10) - 1 minors (1.5 MB)."""
+        if self.style != "explicit" or self.n > MINOR_CHECK_MAX_N:
+            return None
+        form = _systematic_form(self.generator)
+        if form is None or not all(level.all() for level in form.levels):
+            return None
+        return form
+
     def __repr__(self):
         return f"MdsCode(n={self.n}, k={self.k}, p={self.field.p}, style={self.style!r})"
 
@@ -219,17 +248,79 @@ def _check_shape(generator: FieldMatrix):
 
 @lru_cache(maxsize=256)
 def _subset_tables(m: int, s: int):
-    """The s-subsets of range(m), 1 <= s <= m, in `combinations` order as
-    a (C(m, s), s) array, and for each subset and position t the index of
-    the subset without its t-th element among the (s-1)-subsets.  Read
-    only, since the tables are shared through the cache."""
-    index = {c: i for i, c in enumerate(combinations(range(m), s - 1))}
+    """The s-subsets of range(m), 0 <= s <= m, in `combinations` order:
+    a (C(m, s), s) array of them, for each subset and position t the
+    index of the subset without its t-th element among the (s-1)-subsets,
+    and a dict from each subset tuple to its index.  Read only, since the
+    tables are shared through the cache."""
     subsets = list(combinations(range(m), s))
-    elems = np.array(subsets, dtype=np.intp)
-    drop = np.array([[index[c[:t] + c[t + 1:]] for t in range(s)]
-                     for c in subsets], dtype=np.intp)
+    index = {c: i for i, c in enumerate(subsets)}
+    smaller = _subset_tables(m, s - 1)[2] if s else {}
+    elems = np.array(subsets, dtype=np.intp).reshape(len(subsets), s)
+    drop = np.array([[smaller[c[:t] + c[t + 1:]] for t in range(s)]
+                     for c in subsets], dtype=np.intp).reshape(len(subsets), s)
     elems.flags.writeable = drop.flags.writeable = False
-    return elems, drop
+    return elems, drop, index
+
+
+@lru_cache(maxsize=64)
+def _level_gathers(k: int, m: int, s: int):
+    """Flat gather indices of level s of the Laplace expansion in
+    `_systematic_form`, for a k x m matrix P, as two (s, C(k, s), C(m, s))
+    arrays.  For position t, row set R and column set J, the first picks
+    (-1)^t P[R_0, J_t] from the flattened [P, -P] and the second the
+    (s-1)-minor of P on R minus R_0 and J minus J_t from the flattened
+    level s - 1.  At k = m = 10 (n = 20) all levels together take 15 MB."""
+    rows, row_drop, _ = _subset_tables(k, s)
+    cols, col_drop, _ = _subset_tables(m, s)
+    odd = np.arange(s)[:, None, None] % 2
+    entry = rows[None, :, :1] * m + cols.T[:, None, :] + odd * (k * m)
+    minor = row_drop[None, :, :1] * comb(m, s - 1) + col_drop.T[:, None, :]
+    entry.flags.writeable = minor.flags.writeable = False
+    return entry, minor
+
+
+class _SystematicForm(NamedTuple):
+    """G = T [I | P]: P (k x (n-k)), T^-T, and levels[s] = the s x s
+    minors of P, s = 0..min(k, n-k), indexed by row set and column set
+    in `combinations` order (levels[0] is the empty minor, 1)."""
+
+    coef: np.ndarray
+    t_inv_t: np.ndarray
+    levels: tuple
+
+
+def _systematic_form(generator: FieldMatrix):
+    """The `_SystematicForm` of a k x n generator G, or None when G's first
+    k columns are dependent.
+
+    [G | I] is row-reduced once: if G's first k columns are its pivots,
+    the reduced matrix is T^-1 [G | I] = [I | P | T^-1].  Every s x s
+    minor of P is then computed exactly mod p, one level at a time by
+    Laplace expansion along the first row of the (s-1)-level minors, with
+    one gather per operand per level (`_level_gathers`).
+    """
+    k, n = _check_shape(generator)
+    p = generator.field.p
+    identity = np.eye(k, dtype=np.int64)
+    reduced, pivots = _row_reduce(np.hstack([generator.array, identity]), p)
+    if pivots != tuple(range(k)):
+        return None
+    coef = np.ascontiguousarray(reduced[:, k:n])
+    signed = np.concatenate([coef.ravel(), -coef.ravel() % p])
+    levels = [np.ones((1, 1), dtype=np.int64)]
+    for s in range(1, min(k, n - k) + 1):
+        entry, minor = _level_gathers(k, n - k, s)
+        # minors[R, J] = sum_t (-1)^t P[R_0, J_t] * minors'[R \ R_0, J \ J_t]
+        terms = signed.take(entry) * levels[-1].take(minor)
+        if s * (p - 1) ** 2 > _INT64_MAX:  # the sum of s terms could overflow
+            terms %= p
+        levels.append(terms.sum(axis=0) % p)
+    for level in levels:
+        level.flags.writeable = False
+    t_inv_t = np.ascontiguousarray(reduced[:, n:].T)
+    coef.flags.writeable = t_inv_t.flags.writeable = False
+    return _SystematicForm(coef, t_inv_t, tuple(levels))
 
 
 def find_singular_minor(generator: FieldMatrix):
@@ -240,38 +331,29 @@ def find_singular_minor(generator: FieldMatrix):
     of G on a column set S vanishes iff the minor of P on rows
     {0..k-1} minus S and columns S beyond k does, so G is MDS iff every
     square submatrix of P is nonsingular (MacWilliams & Sloane, The
-    Theory of Error-Correcting Codes, ch. 11 sec. 4, Thm 8).  G is
-    row-reduced once; if its first k columns are dependent they are the
-    answer.  Otherwise every s x s minor of P, s = 1..min(k, n-k), is
-    computed exactly mod p, one level at a time by Laplace expansion
-    along the first row of the (s-1)-level minors, so all C(n, k) minors
+    Theory of Error-Correcting Codes, ch. 11 sec. 4, Thm 8).
+    `_systematic_form` row-reduces G once; if its first k columns are
+    dependent they are the answer.  Otherwise it computes every s x s
+    minor of P, s = 1..min(k, n-k), exactly mod p, so all C(n, k) minors
     of G are still checked.
     """
     k, n = _check_shape(generator)
-    p = generator.field.p
-    reduced, pivots = _row_reduce(generator.array, p)
-    if pivots != tuple(range(k)):
+    form = _systematic_form(generator)
+    if form is None:
         return tuple(range(1, k + 1))
-    coef = reduced[:, k:]
     firsts = []
-    minors = np.ones((1, 1), dtype=np.int64)  # the empty minor
-    for s in range(1, min(k, n - k) + 1):
-        rows, row_drop = _subset_tables(k, s)
-        cols, col_drop = _subset_tables(n - k, s)
-        # minors[R, J] = sum_t (-1)^t P[R0, J_t] * minors'[R \ R0, J \ J_t]
-        terms = (coef[rows[:, 0]][:, cols]
-                 * minors[row_drop[:, 0]][:, col_drop]) % p
-        minors = (terms[..., 0::2].sum(axis=2)
-                  - terms[..., 1::2].sum(axis=2)) % p
+    for s, minors in enumerate(form.levels):
+        if minors.all():
+            continue
+        # a larger row-set index leaves a lexicographically smaller
+        # complement, so the level's first column set has the last
+        # singular row set and, in it, the first column set
         singular = minors == 0
-        if singular.any():
-            # a larger row-set index leaves a lexicographically smaller
-            # complement, so the level's first column set has the last
-            # singular row set and, in it, the first column set
-            r = int(np.nonzero(singular.any(axis=1))[0][-1])
-            c = int(np.argmax(singular[r]))
-            kept = sorted(set(range(k)) - set(rows[r].tolist()))
-            firsts.append(tuple(kept + (cols[c] + k).tolist()))
+        rows, cols = _subset_tables(k, s)[0], _subset_tables(n - k, s)[0]
+        r = int(np.nonzero(singular.any(axis=1))[0][-1])
+        c = int(np.argmax(singular[r]))
+        kept = sorted(set(range(k)) - set(rows[r].tolist()))
+        firsts.append(tuple(kept + (cols[c] + k).tolist()))
     if not firsts:
         return None
     return tuple(j + 1 for j in min(firsts))
@@ -284,7 +366,9 @@ def load_explicit(generator: FieldMatrix) -> MdsCode:
     the systematic form (every square submatrix of P in G = T [I | P] is
     nonsingular; MacWilliams & Sloane, ch. 11 sec. 4, Thm 8).  Generators
     wider than MINOR_CHECK_MAX_N columns are refused because the check
-    would no longer be exhaustive in reasonable time.
+    would no longer be exhaustive in reasonable time.  The code returned
+    decodes by Cramer's rule on those minors, which it computes again on
+    its first decode and then keeps (`erasure_decode`).
     """
     k, n = _check_shape(generator)
     if n > MINOR_CHECK_MAX_N:
@@ -315,8 +399,16 @@ def erasure_decode(code: MdsCode, positions, symbols) -> np.ndarray:
 
     symbols is a length-k vector, or a k x m matrix whose row i holds the
     coordinate at positions[i] of m codewords; the result is the message
-    of each column, shaped like symbols.  Every column is decoded by one
-    solve of the k x k system.  Unique by the MDS property;
+    of each column, shaped like symbols.
+
+    An explicit code with n <= MINOR_CHECK_MAX_N whose generator passes
+    the minor check decodes by Cramer's rule (`_decode_by_cramer`) on the
+    minors that check computes, which the code keeps after its first
+    decode: no elimination.  That is exact because every minor is exact
+    mod p and nonzero, and every product goes through the field's chunked
+    product.  Every other code -- the built-in styles, explicit generators
+    wider than that and explicit generators that fail the check --
+    decodes every column by one solve of the k x k system.  Unique by the MDS property;
     SingularSubmatrix signals a corrupted code object rather than a
     decodable failure mode.
     """
@@ -330,6 +422,9 @@ def erasure_decode(code: MdsCode, positions, symbols) -> np.ndarray:
     syms = code.field.reduce(symbols)
     if syms.ndim not in (1, 2) or syms.shape[0] != code.k:
         raise DimensionMismatch(f"need exactly k={code.k} symbols")
+    form = code._cramer_form
+    if form is not None:
+        return _decode_by_cramer(form, code.field.p, pos, syms)
     sub = FieldMatrix(code.generator.array[:, [j - 1 for j in pos]].T, code.field)
     try:
         return sub.solve(syms)
@@ -337,6 +432,41 @@ def erasure_decode(code: MdsCode, positions, symbols) -> np.ndarray:
         raise SingularSubmatrix(
             f"columns {pos} are dependent; code object is corrupted"
         ) from exc
+
+
+def _decode_by_cramer(form: _SystematicForm, p: int, pos: list, syms) -> np.ndarray:
+    """The message m of codewords c = G^T m, G = T [I | P], from their
+    coordinates `syms` at the distinct 1-based positions `pos`.
+
+    With u = T^T m, c = [I | P]^T u: the coordinates at positions A <= k
+    are u_A, and those at the t positions C beyond k give
+    P[B, C]^T u_B = c_C - P[A, C]^T u_A =: r for the t erased
+    B = {1..k} - A.  By Cramer's rule u_B = adj(P[B, C])^T r / det P[B, C]:
+    entry (i, j) of adj(P[B, C])^T is the cofactor (-1)^(i+j) times the
+    (t-1)-minor of P on B and C without their i-th and j-th elements, and
+    all these minors are read from `form.levels`.  Then m = T^-T u.
+    """
+    k = len(pos)
+    order = sorted(range(k), key=pos.__getitem__)
+    ranked = [pos[i] - 1 for i in order]
+    syms = syms[order]
+    a = bisect_left(ranked, k)
+    u = np.zeros_like(syms)
+    u[ranked[:a]] = syms[:a]
+    if a < k:
+        t = k - a
+        beyond = tuple(j - k for j in ranked[a:])
+        erased = tuple(sorted(set(range(k)).difference(ranked[:a])))
+        _, row_drop, row_index = _subset_tables(k, t)
+        _, col_drop, col_index = _subset_tables(form.coef.shape[1], t)
+        r, c = row_index[erased], col_index[beyond]
+        # u is still zero on B, so P[:, C]^T u = P[A, C]^T u_A
+        rhs = (syms[a:] - _matmul_arrays(form.coef[:, beyond].T, u, p)) % p
+        minors = form.levels[t - 1][row_drop[r][:, None], col_drop[c]]
+        cofactors = minors * _CHECKER[:t, :t] % p  # adj(P[B, C])^T
+        inv_det = pow(int(form.levels[t][r, c]), -1, p)
+        u[list(erased)] = _matmul_arrays(cofactors, rhs, p) * inv_det % p
+    return _matmul_arrays(form.t_inv_t, u, p)
 
 
 # ----------------------------------------------------------------------

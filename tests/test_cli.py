@@ -20,6 +20,7 @@ from twinstore.framework import TwinConfig, TwinSystem
 from twinstore.mds import MdsCode, code_to_json, load_explicit, \
     make_systematic, make_vandermonde
 
+from conftest import build_config
 from test_fuzz_inputs import FUZZ
 from test_sim import demo_scenario_doc, non_spanning_config
 
@@ -244,6 +245,16 @@ class TestEavesdrop:
         assert main(["eavesdrop", "--style", "explicit", "--in", inp]) == 1
         assert "UnverifiedCode" in capsys.readouterr().err
 
+    def test_explicit_sweep_refused_up_front(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["eavesdrop", "--style", "explicit", "--k", "3", "--n1",
+                     "5", "--n2", "5", "--l1", "1", "--out", str(out)]) == 2
+        assert one_error_line(capsys.readouterr().err) == (
+            "error: --style explicit needs --in: explicit generators come "
+            "from --in and get one-spec reports; sweep explicit codes "
+            "through twinstore.sim.sweep_eavesdroppers")
+        assert not out.exists()
+
     def test_sweep_report(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert main(["eavesdrop", "--q", "11", "--n1", "7", "--n2", "8",
@@ -268,21 +279,28 @@ class TestEavesdrop:
     @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
     def test_pinned_sweep_eliminates_once_per_position_set(
             self, tmp_path, monkeypatch, style, digest):
-        # no observation matrix is assembled, and inside the sweep every
-        # elimination is the first lookup of a distinct generator position
-        # set in a code's pivot memo
+        # no observation matrix is assembled; built-in codes eliminate
+        # nothing, so the elimination count is read from the same sweep
+        # through the library with the style's generators wrapped as
+        # explicit codes, where every elimination is the first lookup of
+        # a distinct generator position set in a code's pivot memo
         builds, eliminations, position_sets = [], [], set()
-        sweeping = []
         monkeypatch.setattr(eavesdrop, "_functional_rows",
                             lambda *args: builds.append(args))
-        raw_reduce = field._row_reduce
+        out = tmp_path / "sweep.json"
+        assert main(pinned_sweep_argv(style, out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        specs = json.loads(out.read_text())["specs"]
+
+        built = build_config(PrimeField(11), 5, 6, 4, style)
+        config = TwinConfig(*(MdsCode(code.generator, "explicit")
+                              for code in (built.code1, built.code2)))
+        layout = loader.layout({"l1": 1, "l2": 1, "seed": 0}, config)
+        raw_reduce, raw_pivots = field._row_reduce, MdsCode.pivots
 
         def counting_reduce(*args, **kwargs):
-            if sweeping:
-                eliminations.append(args[0].shape)
+            eliminations.append(args[0].shape)
             return raw_reduce(*args, **kwargs)
-
-        raw_pivots = MdsCode.pivots
 
         def recording_pivots(code, positions):
             positions = tuple(positions)
@@ -290,26 +308,14 @@ class TestEavesdrop:
                 position_sets.add((id(code), frozenset(positions)))
             return raw_pivots(code, positions)
 
-        raw_sweep = sim.sweep_eavesdroppers
-
-        def sweep(*args, **kwargs):
-            sweeping.append(True)
-            try:
-                return raw_sweep(*args, **kwargs)
-            finally:
-                sweeping.pop()
-
         # the codes' row spaces eliminate through the name mds imports
         for module in (field, mds):
             monkeypatch.setattr(module, "_row_reduce", counting_reduce)
         monkeypatch.setattr(MdsCode, "pivots", recording_pivots)
-        monkeypatch.setattr(sim, "sweep_eavesdroppers", sweep)
-        out = tmp_path / "sweep.json"
-        assert main(pinned_sweep_argv(style, out)) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        specs = len(json.loads(out.read_text())["specs"])
+        sweep = sim.sweep_eavesdroppers(config, layout, max_budget=2, seed=0)
+        assert json.loads(json.dumps(sweep.rows)) == specs
         assert builds == []
-        assert len(eliminations) == len(position_sets) < specs / 4
+        assert 0 < len(eliminations) == len(position_sets) < len(specs) / 4
 
     @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
     def test_pinned_sweep_evaluates_once_per_node_set(

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twinstore import FieldMatrix, PrimeField, in_row_space, rank
+from twinstore import FieldMatrix, PrimeField, in_row_space, is_prime, rank
 from twinstore.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -53,6 +54,39 @@ class TestPrimeField:
         for x in range(1, p):
             brute = next(y for y in range(1, p) if (x * y) % p == 1)
             assert field.inv(x) == brute
+
+
+def primes_by_trial_division(low, high):
+    """Boolean mask over low..high-1: True where the number is prime, by
+    trial division by every prime up to sqrt(high), one sieve pass each."""
+    numbers = np.arange(low, high, dtype=np.int64)
+    prime = numbers >= 2
+    for d in range(2, math.isqrt(high) + 1):
+        if all(d % e for e in range(2, math.isqrt(d) + 1)):
+            prime &= (numbers % d != 0) | (numbers == d)
+    return prime
+
+
+class TestIsPrime:
+    """Miller-Rabin to the bases 2, 7, 61 against trial division."""
+
+    @pytest.mark.parametrize("low, high", [(-10, 2 * 10**5),
+                                           (2**31 - 10**4, 2**31 + 10**4 + 1)],
+                             ids=["below-2e5", "around-2^31"])
+    def test_matches_trial_division(self, low, high):
+        want = primes_by_trial_division(low, high)
+        got = np.array([is_prime(n) for n in range(low, high)])
+        assert np.array_equal(got, want)
+        assert want.sum() > 400  # both answers occur
+
+    def test_strong_pseudoprimes_to_fewer_bases(self):
+        # 3215031751 = 151 * 751 * 28351 passes bases 2, 3, 5 and 7;
+        # base 61 refutes it (Jaeschke 1993)
+        assert not is_prime(3215031751)
+
+    def test_refuses_beyond_its_exact_range(self):
+        with pytest.raises(ValueError, match="exact only below 4759123141"):
+            is_prime(4_759_123_141)
 
 
 class TestMatMul:

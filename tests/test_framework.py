@@ -33,6 +33,7 @@ from twinstore.errors import (
     SameTypeHelper,
     UnverifiedCode,
 )
+from twinstore import field as field_module
 from twinstore import framework, mds
 
 from conftest import build_config
@@ -413,8 +414,9 @@ class TestValidationOrder:
 
 class TestLayerCalls:
     """The benchmark's per-layer counters count these calls: a repair
-    ships one helper_share per helper and decodes once, a decode is one
-    solve, and a deploy repairs every non-seed node."""
+    ships one helper_share per helper and decodes once, a decode of a
+    built-in code is one solve, a decode of a verified explicit code is
+    none, and a deploy repairs every non-seed node."""
 
     @staticmethod
     def count(monkeypatch, owner, name):
@@ -427,16 +429,40 @@ class TestLayerCalls:
         monkeypatch.setattr(owner, name, counting)
         return calls
 
-    def test_repair_and_decode(self, demo_system, monkeypatch):
+    def test_repair_and_decode(self, f11, monkeypatch):
         shares = self.count(monkeypatch, framework, "helper_share")
         decodes = self.count(monkeypatch, mds, "erasure_decode")
         solves = self.count(monkeypatch, FieldMatrix, "solve")
+        msg = build_message_matrix(list(range(16)), 4, f11)
+        for style in ("vandermonde", "systematic"):  # built-in codes
+            system = encode_system(build_config(f11, 5, 6, 4, style), msg)
+            for calls in (shares, decodes, solves):
+                calls.clear()
+            broken = fail_node(system, 1, 2)
+            _, content = repair(broken, 1, 2, [6, 2, 5, 3])
+            assert content == system.node(1, 2)
+            assert len(shares) == 4 and len(decodes) == 1 and len(solves) == 1
+            reconstruct(system, 2, [1, 2, 3, 4])
+            assert len(shares) == 4 and len(decodes) == 2 and len(solves) == 2
+
+    def test_verified_explicit_codes_decode_without_elimination(
+            self, demo_system, demo_layout, monkeypatch):
+        # the demo codes come from load_explicit; once a code holds its
+        # minors, repair and reconstruct eliminate nothing
+        for code in (demo_system.config.code1, demo_system.config.code2):
+            assert code._cramer_form is not None
+        decodes = self.count(monkeypatch, mds, "erasure_decode")
+        solves = self.count(monkeypatch, FieldMatrix, "solve")
+        reductions = []
+        for module in (field_module, mds):  # and the name mds imports
+            monkeypatch.setattr(module, "_row_reduce",
+                                lambda *args: reductions.append(args))
         broken = fail_node(demo_system, 1, 2)
         _, content = repair(broken, 1, 2, [6, 2, 5, 3])
         assert content == demo_system.node(1, 2)
-        assert len(shares) == 4 and len(decodes) == 1 and len(solves) == 1
-        reconstruct(demo_system, 2, [1, 2, 3, 4])
-        assert len(shares) == 4 and len(decodes) == 2 and len(solves) == 2
+        assert reconstruct(demo_system, 2, [5, 1, 4, 2]) == demo_layout.matrix
+        assert reconstruct(demo_system, 1, [2, 5, 3, 1]) == demo_layout.matrix
+        assert len(decodes) == 3 and solves == [] and reductions == []
 
     @pytest.mark.parametrize("n1, n2, k", [(5, 6, 4), (7, 7, 4), (4, 4, 4),
                                            (9, 6, 3)])

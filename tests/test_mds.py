@@ -534,6 +534,161 @@ class TestMultiCodewordDecode:
         assert np.array_equal(got, messages)
 
 
+def mixed_grs(rng, p, k, n):
+    """A random invertible k x k matrix times a GRS generator: MDS
+    (n <= p), and T in its systematic form G = T [I | P] is in general
+    not the identity."""
+    f = PrimeField(p)
+    grs = FieldMatrix(grs_array(rng, n, k, p), f)
+    while True:
+        mix = FieldMatrix(rng.integers(0, p, size=(k, k)), f)
+        if mix.rank() == k:
+            return mix @ grs
+
+
+def det_mod_p(rows, p):
+    """Determinant mod p of a square list of rows, by elimination on
+    Python integers (1 for the empty matrix)."""
+    m = [[int(x) % p for x in row] for row in rows]
+    det = 1
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] * inv % p
+            m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[c])]
+    return det % p
+
+
+class TestCramerDecode:
+    """Verified explicit codes decode by Cramer's rule on their minors;
+    every other code keeps the k x k elimination."""
+
+    @pytest.mark.parametrize("p", [3, 5, 11, 101, 2**31 - 1])
+    def test_matches_solve_on_every_position_set(self, p):
+        # 12 seeded MDS codes per field, k <= 6, n <= min(12, p), the
+        # widest first; odd cases come from load_explicit and even ones
+        # are wrapped unchecked; m codewords per decode (0: a vector)
+        rng = np.random.default_rng(p % 1000)
+        shapes = [(k, n) for n in range(1, min(12, p) + 1)
+                  for k in range(1, min(6, n) + 1)]
+        decodes = 0
+        for case in range(12):
+            k, n = shapes[-1] if case == 0 else shapes[rng.integers(len(shapes))]
+            gen = mixed_grs(rng, p, k, n)
+            code = load_explicit(gen) if case % 2 else MdsCode(gen, "explicit")
+            assert code._cramer_form is not None
+            shape = (k,) if case % 4 == 0 else (k, case % 4)
+            msg = code.field.uniform(rng, shape)
+            words = (gen.T @ FieldMatrix(msg.reshape(k, -1), code.field)).array
+            subsets = list(combinations(range(1, n + 1), k))
+            for i in rng.permutation(len(subsets)):
+                pos = rng.permutation(subsets[i]).tolist()
+                syms = words[[j - 1 for j in pos]].reshape(shape)
+                got = erasure_decode(code, pos, syms)
+                sub = gen.take_columns([j - 1 for j in pos]).T
+                assert np.array_equal(got, sub.solve(syms))
+                assert np.array_equal(got, msg)
+                decodes += 1
+        assert decodes >= 12
+
+    def test_exact_at_largest_prime(self):
+        # G = [I | P] over p = 2^31 - 1 with P and the message near -1:
+        # every product in a decode is near 2^62, so any sum of two or
+        # more of them passes 2^63 unless each is reduced first
+        p = 2**31 - 1
+        f = PrimeField(p)
+        rng = np.random.default_rng(31)
+        coef = p - 1 - rng.integers(0, 1000, size=(6, 6))
+        code = load_explicit(FieldMatrix(
+            np.hstack([np.eye(6, dtype=np.int64), coef]), f))
+        msg = p - 1 - rng.integers(0, 1000, size=(6, 2))
+        words = (code.generator.T @ FieldMatrix(msg, f)).array
+        for pos in combinations(range(1, 13), 6):
+            got = erasure_decode(code, pos, words[[j - 1 for j in pos]])
+            assert np.array_equal(got, msg), pos
+
+    @staticmethod
+    def counted_solves(monkeypatch):
+        calls = []
+        raw = FieldMatrix.solve
+        monkeypatch.setattr(FieldMatrix, "solve",
+                            lambda *args: calls.append(args) or raw(*args))
+        return calls
+
+    def test_non_mds_codes_eliminate(self, f11, monkeypatch):
+        # the first has dependent first k columns, the second a singular
+        # minor of P (column 5 equals column 4)
+        second = make_vandermonde(5, 3, f11).generator.array.copy()
+        second[:, 4] = second[:, 3]
+        codes = [(non_mds_f11_code(), [1, 2, 3]),
+                 (MdsCode(FieldMatrix(second, f11), "explicit"), [1, 4, 5])]
+        solves = self.counted_solves(monkeypatch)
+        for code, singular in codes:
+            assert code._cramer_form is None
+            with pytest.raises(SingularSubmatrix) as exc:
+                erasure_decode(code, singular, [1, 2, 3])
+            assert str(exc.value) == (f"columns {singular} are dependent; "
+                                      "code object is corrupted")
+            msg = [4, 5, 6]
+            assert np.array_equal(
+                erasure_decode(code, [1, 2, 4], encode_row(code, msg)[[0, 1, 3]]),
+                msg)
+        assert len(solves) == 4
+
+    @pytest.mark.parametrize("make", [
+        lambda f: make_vandermonde(7, 4, f),
+        lambda f: make_systematic(7, 4, f),
+        lambda f: MdsCode(make_vandermonde(21, 4, f).generator, "explicit"),
+    ], ids=["vandermonde", "systematic", "unchecked-explicit-n21"])
+    def test_other_codes_eliminate(self, f101, monkeypatch, make):
+        # built-in codes and explicit codes wider than the minor check
+        # never compute the minors
+        code = make(f101)
+        forms = []
+        monkeypatch.setattr(mds, "_systematic_form", forms.append)
+        solves = self.counted_solves(monkeypatch)
+        msg = [1, 2, 3, 4]
+        pos = [code.n, 2, 5, 3]
+        word = encode_row(code, msg)
+        assert np.array_equal(
+            erasure_decode(code, pos, word[[j - 1 for j in pos]]), msg)
+        assert code._cramer_form is None and forms == [] and len(solves) == 1
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_minor_levels_on_random_generators(self, q):
+        # mostly non-MDS: the first singular minor matches the rank
+        # reference, and every stored level holds the exact minors of P
+        rng = np.random.default_rng(q)
+        f = PrimeField(q)
+        singular = 0
+        for _ in range(60):
+            k = int(rng.integers(1, 6))
+            n = int(rng.integers(k, 11))
+            gen = FieldMatrix(rng.integers(0, q, size=(k, n)), f)
+            expected = first_singular_by_rank(gen)
+            assert find_singular_minor(gen) == expected, gen
+            singular += expected is not None
+            form = mds._systematic_form(gen)
+            if form is None:
+                continue
+            coef = np.hstack([np.eye(k, dtype=np.int64), form.coef])
+            assert np.array_equal(
+                (FieldMatrix(form.t_inv_t.T, f) @ gen).array, coef)
+            for s, level in enumerate(form.levels):
+                assert level.tolist() == [
+                    [det_mod_p(form.coef[np.ix_(rows, cols)], q)
+                     for cols in combinations(range(n - k), s)]
+                    for rows in combinations(range(k), s)]
+        assert singular > 30, singular
+
+
 class TestJsonInterchange:
     def test_roundtrip(self, f11):
         code = load_explicit(FieldMatrix(DEMO_G2, f11))
