@@ -7,7 +7,7 @@ demo       run the bundled worked example against its golden values
 scenario   execute a scenario JSON file, emitting a JSON-lines log
 encode     encode a payload into a full system snapshot (JSON)
 eavesdrop  leakage report for one eavesdropper spec, or a budget sweep
-           (whose rows `sweep_report_text` writes)
+           (whose report `sweep_report_text` writes from its columns)
 
 Exit codes: 0 success, 1 domain failure, 2 usage/malformed input.
 Each warning, such as the connectivity advisory, is one stderr line.
@@ -21,6 +21,8 @@ import json
 import sys
 import warnings
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import loader, sim
 from .demo import run_demo
@@ -30,12 +32,15 @@ from .framework import encode_system
 
 
 def _write_text(path, text):
+    # a slice at a time: a text file encodes each write whole, and a
+    # sweep report is megabytes, so one write would hold it twice
+    pieces = (text[i:i + 65536] for i in range(0, len(text), 65536))
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise MalformedInput(f"cannot write {path}: {exc}") from None
 
@@ -84,57 +89,82 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def sweep_report_text(report: dict) -> str:
-    """A sweep report's text, byte for byte json.dumps(report,
-    sort_keys=True, indent=2) + "\\n".
+def sweep_report_text(sweep: sim.SweepResult) -> str:
+    """A sweep's report text, byte for byte json.dumps(report,
+    sort_keys=True, indent=2) + "\\n" of the report {"exhaustive",
+    "worst_leakage": [{"l1", "l2", "leakage"}] by split, "specs":
+    sweep.rows}.
 
     With an indent, json.dumps runs json's pure-Python encoder, which
     costs more than the sweep itself on thousands of rows.  So json.dumps
-    writes only the report head and `worst_leakage`, and the `specs` rows
-    (`sim.SweepResult.rows`) go through a writer of their fixed schema:
-    e1 and e2 as lists of [type, index] pairs, then guaranteed, l1, l2,
-    leakage and rank.  Each node list's text is cached under its tuple of
-    (type, index) tuples, so an e1 that repeats across rows is written
-    once; rows holding lists, as json.loads gives them, are keyed by their
-    tuple form.  Each row's closing text is cached the same way, under its
-    five values, of which a sweep holds a few hundred distinct tuples.
-    The pieces are joined once, so no row's text is copied twice.
+    writes only the report head and `worst_leakage`, and the rows are
+    written from the sweep's columns (`sim.SweepSplit`), never as dicts:
+    each row is e1 and e2 as lists of [type, index] pairs, then
+    guaranteed, l1, l2, leakage and rank.  A node list's text is built
+    once per distinct node tuple, which a split finds by its colex rank,
+    and a row's closing text once per distinct verdict in a split.  Each
+    split's rows are gathered from those texts, three pieces a row, and
+    all pieces are joined once.
     """
-    head, tail = json.dumps({**report, "specs": None}, sort_keys=True,
-                            indent=2).split('"specs": null')
-    list_text = {}
+    head, tail = json.dumps({
+        "exhaustive": sweep.exhaustive, "specs": None,
+        "worst_leakage": [{"l1": l1, "l2": l2, "leakage": leak}
+                          for (l1, l2), leak
+                          in sorted(sweep.worst_leakage.items())],
+    }, sort_keys=True, indent=2).split('"specs": null')
+    n = len(sweep.nodes)
+    pair_text = np.array([f"        [\n          {t},\n          {j}\n        ]"
+                          for t, j in sweep.nodes], dtype=object)
+    list_text = {}  # (size, colex rank) of a node tuple -> its list's text
 
-    def node_list(pairs):
-        if type(pairs) is not tuple:
-            pairs = tuple(map(tuple, pairs))
-        text = list_text.get(pairs)
-        if text is None:
-            text = list_text[pairs] = "[\n" + ",\n".join(
-                f"        [\n          {t},\n          {j}\n        ]"
-                for t, j in pairs) + "\n      ]" if pairs else "[]"
-        return text
+    def list_texts(column, before, after):
+        # each row's node list text between `before` and `after`; the
+        # list text is built once per distinct node tuple of the sweep
+        size = column.shape[1]
+        distinct, first, inverse = np.unique(sim._colex_ranks(column, n),
+                                             return_index=True,
+                                             return_inverse=True)
+        keys = [(size, rank) for rank in distinct.tolist()]
+        new = [i for i, key in enumerate(keys) if key not in list_text]
+        if new:
+            nodes = column[first[new]]
+            texts = np.full(len(new), "[\n" if size else "[]", dtype=object)
+            for i in range(size):
+                texts += pair_text[nodes[:, i]] + (
+                    ",\n" if i < size - 1 else "\n      ]")
+            list_text.update(zip([keys[i] for i in new], texts.tolist()))
+        texts = np.array([list_text[key] for key in keys], dtype=object)
+        return (before + texts + after)[inverse]
 
-    closing_text = {}
-
-    def closing(r):
-        key = r["guaranteed"], r["l1"], r["l2"], r["leakage"], r["rank"]
-        text = closing_text.get(key)
-        if text is None:
-            guaranteed, l1, l2, leak, rank = key
-            text = closing_text[key] = (
-                f'      "guaranteed": {"true" if guaranteed else "false"},\n'
-                f'      "l1": {l1},\n      "l2": {l2},\n'
-                f'      "leakage": {leak},\n      "rank": {rank}\n    }}')
-        return text
-
-    parts = [head, '"specs": [\n']
-    for r in report["specs"]:
-        parts += ('    {\n      "e1": ', node_list(r["e1"]), ',\n      "e2": ',
-                  node_list(r["e2"]), ",\n", closing(r), ",\n")
-    # the last row's separator closes the list; no row leaves it empty
-    parts[-1] = "\n  ]" if len(parts) > 2 else '"specs": []'
-    parts += (tail, "\n")
-    return "".join(parts)
+    # three pieces per row, between the report's head and tail
+    count = sum(len(split.verdict) for split in sweep.splits)
+    parts = np.empty(3 * count + 4, dtype=object)
+    parts[0] = head
+    parts[1] = '"specs": [\n' if count else '"specs": []'
+    parts[-2] = tail
+    parts[-1] = "\n"
+    rows = parts[2:-2].reshape(count, 3)
+    start = 0
+    for split in sweep.splits:
+        block = rows[start:start + len(split.verdict)]
+        start += len(split.verdict)
+        block[:, 0] = list_texts(split.e1, '    {\n      "e1": ',
+                                 ',\n      "e2": ')
+        block[:, 1] = list_texts(split.e2, "", "")
+        closing = np.empty(len(sweep.verdicts), dtype=object)
+        present = np.bincount(split.verdict, minlength=len(sweep.verdicts))
+        for v in np.flatnonzero(present).tolist():
+            verdict = sweep.verdicts[v]
+            closing[v] = (
+                f',\n      "guaranteed": '
+                f'{"true" if verdict["guaranteed"] else "false"},\n'
+                f'      "l1": {split.l1},\n      "l2": {split.l2},\n'
+                f'      "leakage": {verdict["leakage"]},\n'
+                f'      "rank": {verdict["rank"]}\n    }},\n')
+        block[:, 2] = closing[split.verdict]
+    if count:  # the last row closes the list
+        parts[-3] = parts[-3][:-2] + "\n  ]"
+    return "".join(parts.tolist())
 
 
 def cmd_eavesdrop(args) -> int:
@@ -160,14 +190,7 @@ def cmd_eavesdrop(args) -> int:
         sweep = sim.sweep_eavesdroppers(config, layout,
                                         max_budget=args.l1 + args.l2,
                                         seed=args.seed)
-        text = sweep_report_text({
-            "exhaustive": sweep.exhaustive,
-            "worst_leakage": [
-                {"l1": l1, "l2": l2, "leakage": leak}
-                for (l1, l2), leak in sorted(sweep.worst_leakage.items())
-            ],
-            "specs": sweep.rows,
-        })
+        text = sweep_report_text(sweep)
     _write_text(args.out, text)
     return 0
 

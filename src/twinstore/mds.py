@@ -16,11 +16,12 @@ limited to n <= MINOR_CHECK_MAX_N = 20.
 
 Those minors are also the cofactors that invert any erased block of P.
 So an explicit code with n <= 20 whose generator passes the check keeps
-them after its first decode and decodes by Cramer's rule, with no
-elimination; that is exact because each minor is exact mod p and
-nonzero, and each product is reduced before a sum of them could
-overflow.  The built-in styles and every other explicit code decode by
-one k x k elimination.
+them (`load_explicit` hands over the ones its check computed; any other
+such code computes them on its first decode) and decodes by Cramer's
+rule, with no elimination; that is exact because each minor is exact
+mod p and nonzero, and each product is reduced before a sum of them
+could overflow.  The built-in styles and every other explicit code
+decode by one k x k elimination.
 
 Node/codeword positions are 1-based on this module's surface.
 """
@@ -185,8 +186,9 @@ class MdsCode:
     def _cramer_form(self):
         """The `_SystematicForm` that `erasure_decode` solves with, for an
         explicit code with n <= MINOR_CHECK_MAX_N whose generator passes
-        the minor check; None for every other code.  Built on first read,
-        it holds at most C(20, 10) - 1 minors (1.5 MB)."""
+        the minor check; None for every other code.  `load_explicit` sets
+        it from its check; any other code builds it on first read.  It
+        holds at most C(20, 10) - 1 minors (1.5 MB)."""
         if self.style != "explicit" or self.n > MINOR_CHECK_MAX_N:
             return None
         form = _systematic_form(self.generator)
@@ -323,7 +325,7 @@ def _systematic_form(generator: FieldMatrix):
     return _SystematicForm(coef, t_inv_t, tuple(levels))
 
 
-def find_singular_minor(generator: FieldMatrix):
+def find_singular_minor(generator: FieldMatrix, form=None):
     """Return the 1-based column set of the first singular k x k minor, or None.
 
     "First" is `combinations` order.  The check goes through the
@@ -335,10 +337,12 @@ def find_singular_minor(generator: FieldMatrix):
     `_systematic_form` row-reduces G once; if its first k columns are
     dependent they are the answer.  Otherwise it computes every s x s
     minor of P, s = 1..min(k, n-k), exactly mod p, so all C(n, k) minors
-    of G are still checked.
+    of G are still checked.  A caller that holds `_systematic_form(G)`
+    passes it as `form`, and the check reads it instead.
     """
     k, n = _check_shape(generator)
-    form = _systematic_form(generator)
+    if form is None:
+        form = _systematic_form(generator)
     if form is None:
         return tuple(range(1, k + 1))
     firsts = []
@@ -367,8 +371,8 @@ def load_explicit(generator: FieldMatrix) -> MdsCode:
     nonsingular; MacWilliams & Sloane, ch. 11 sec. 4, Thm 8).  Generators
     wider than MINOR_CHECK_MAX_N columns are refused because the check
     would no longer be exhaustive in reasonable time.  The code returned
-    decodes by Cramer's rule on those minors, which it computes again on
-    its first decode and then keeps (`erasure_decode`).
+    keeps the form the check read as its `_cramer_form` and decodes by
+    Cramer's rule on those minors (`erasure_decode`), with no elimination.
     """
     k, n = _check_shape(generator)
     if n > MINOR_CHECK_MAX_N:
@@ -376,14 +380,18 @@ def load_explicit(generator: FieldMatrix) -> MdsCode:
             f"explicit generators are limited to n <= {MINOR_CHECK_MAX_N} "
             f"(exhaustive minor check), got n={n}"
         )
-    bad = find_singular_minor(generator)
+    form = _systematic_form(generator)
+    bad = find_singular_minor(generator, form)
     if bad is not None:
         # a rank-deficient generator has only singular minors; say so
         rank = generator.rank()
         if rank != k:
             raise NotMds(f"generator has rank {rank} < k={k}")
         raise NotMds(f"singular k x k minor at columns {bad}")
-    return MdsCode(generator, "explicit")
+    code = MdsCode(generator, "explicit")
+    # every minor is nonzero, which is what `_cramer_form` would check
+    code.__dict__["_cramer_form"] = form
+    return code
 
 
 def encode_row(code: MdsCode, message) -> np.ndarray:

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import chain, combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,21 +240,114 @@ def run(scenario: Scenario) -> EventLog:
 # ----------------------------------------------------------------------
 # Eavesdropper sweep.
 
-@dataclass(frozen=True)
-class SweepResult:
-    """One row per eavesdropper spec, in enumeration order: e1 and e2 as
-    sorted tuples of (type, index) tuples, as `EavesdropperSpec.of` makes
-    them (json writes them as lists of [type, index] pairs), then l1, l2
-    and the spec's verdict, rank, leakage and guaranteed."""
+class SweepSplit(NamedTuple):
+    """The rows of one (l1, l2) split of a sweep, in enumeration order, as
+    columns.  e1 (rows x l1) and e2 (rows x l2) hold indices into
+    `SweepResult.nodes`, ascending along each row; verdict holds each
+    row's index into `SweepResult.verdicts`.  The arrays are read-only."""
 
-    rows: tuple
+    l1: int
+    l2: int
+    e1: np.ndarray
+    e2: np.ndarray
+    verdict: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """A sweep's rows as columns, one `SweepSplit` per (l1, l2) split in
+    enumeration order.  `nodes` lists every node as a (type, index) tuple,
+    Type 1 first, so sorted indices give sorted node tuples; `verdicts`
+    holds each distinct verdict once, a dict of rank, leakage and
+    guaranteed.  `worst_leakage` maps each split that holds a row to its
+    largest leakage.
+
+    `rows` is the row view, built on first read: one dict per spec, in
+    enumeration order, with e1 and e2 as sorted tuples of (type, index)
+    tuples, as `EavesdropperSpec.of` makes them (json writes them as
+    lists of [type, index] pairs), then l1, l2 and the spec's verdict.
+    The CLI writes its report from the columns and never builds it."""
+
+    nodes: tuple
+    splits: tuple
+    verdicts: tuple
     worst_leakage: dict  # (l1, l2) -> max leakage observed
     exhaustive: bool
+
+    @cached_property
+    def rows(self) -> tuple:
+        nodes, verdicts, rows = self.nodes, self.verdicts, []
+        for split in self.splits:
+            for e1, e2, v in zip(split.e1.tolist(), split.e2.tolist(),
+                                 split.verdict.tolist()):
+                rows.append({"e1": tuple(nodes[i] for i in e1),
+                             "e2": tuple(nodes[i] for i in e2),
+                             "l1": split.l1, "l2": split.l2, **verdicts[v]})
+        return tuple(rows)
 
 
 def _all_nodes(config):
     return [(1, j) for j in range(1, config.n1 + 1)] + \
            [(2, j) for j in range(1, config.n2 + 1)]
+
+
+@lru_cache(maxsize=32)
+def _combination_table(m: int, s: int) -> np.ndarray:
+    """The s-subsets of range(m) in `combinations` order, as a read-only
+    (C(m, s), s) array."""
+    table = np.fromiter(chain.from_iterable(combinations(range(m), s)),
+                        dtype=np.intp, count=comb(m, s) * s)
+    table = table.reshape(comb(m, s), s)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def _binomials(n: int, s: int) -> np.ndarray:
+    """C(x, i) for x < n and i <= s, read-only, as int64 when every
+    s'-subset of range(n), s' <= s, has a colex rank below 2^63 and as
+    Python ints otherwise."""
+    wide = max(comb(n, i) for i in range(s + 1)) >= 2 ** 63
+    table = np.array([[comb(x, i) for i in range(s + 1)] for x in range(n)],
+                     dtype=object if wide else np.int64).reshape(n, s + 1)
+    table.flags.writeable = False
+    return table
+
+
+def _colex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """The colex rank of each row of ascending indices < n among the
+    subsets of range(n) of its size: sum_i C(rows[:, i], i + 1), which
+    differs between any two distinct subsets of one size."""
+    table = _binomials(n, rows.shape[1])
+    ranks = np.zeros(len(rows), dtype=table.dtype)
+    for i, column in enumerate(rows.T, start=1):
+        ranks += table[column, i]
+    return ranks
+
+
+def _enumerate_split(n: int, l1: int, l2: int) -> tuple:
+    """Every (e1, e2) of one split as index arrays, e1 in `combinations`
+    order and, for each, e2 in `combinations` order over the other nodes."""
+    e1 = _combination_table(n, l1)
+    if not l2:
+        return e1, np.empty((len(e1), 0), dtype=np.intp)
+    rest = np.ones((len(e1), n), dtype=bool)
+    rest[np.arange(len(e1))[:, None], e1] = False
+    rest = np.nonzero(rest)[1].reshape(len(e1), n - l1)
+    e2 = rest[:, _combination_table(n - l1, l2)]
+    rows = e2.shape[0] * e2.shape[1]
+    return np.repeat(e1, e2.shape[1], axis=0), e2.reshape(rows, l2)
+
+
+def _sample_split(rng, n: int, l1: int, l2: int, target: int) -> tuple:
+    """`target` distinct (e1, e2) of one split as index arrays, each the
+    sorted head of one `rng.permutation(n)`, repeats drawn again."""
+    seen = {}
+    while len(seen) < target:
+        picks = rng.permutation(n)[: l1 + l2].tolist()
+        seen.setdefault((*sorted(picks[:l1]), *sorted(picks[l1:])), None)
+    rows = np.array(list(seen), dtype=np.intp).reshape(target, l1 + l2)
+    return rows[:, :l1], rows[:, l1:]
 
 
 def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
@@ -263,30 +358,33 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
 
     Splits the budget into (l1, l2) pairs; when the total number of
     (e1, e2) choices exceeds enumeration_limit, each split is sampled
-    with the given seed instead.  Each row keeps the enumeration's e1 and
-    e2 tuples (`SweepResult`), which rows may share.
+    with the given seed instead.  Each split's specs are built as index
+    arrays over the nodes (`SweepSplit`): from combination tables, or
+    from one `rng.permutation` per draw.
 
     One verdict is evaluated per distinct observed node set e1 | e2 and
-    reused by every spec with that union.  That is exact: rank, leakage
-    and the guarantee are `secure.node_set_verdict` of the set, however it
-    splits into storage reads and observed repairs, because an observed
-    repair through helpers that span F^k exposes exactly the repaired
-    node's own space.  Of the checks `observe` makes, all but the plan
-    check are settled once per sweep: `encode_system` raises a field or k
-    mismatch, the budget is capped at k - 1 and the enumeration names only
-    nodes that exist.  Whether `observe` refuses a plan depends only on
-    which node types a spec's e2 holds, since each failed type's helpers
-    are fixed here.  So a spec whose e2 holds a type no earlier call has
-    accepted is observed as it is, with its repair plans: every spec
-    refused one by one is refused here, with the same error.  Only those
-    specs reach `observe`; every other new node set is judged by one
-    `node_set_verdict` call.  In exhaustive order that is one evaluation
-    per distinct union, and plans reach `observe` at most once per failed
-    type.
+    reused by every spec with that union; a split maps each row to its
+    node set by one sort and the set's colex rank.  That is exact: rank,
+    leakage and the guarantee are `secure.node_set_verdict` of the set,
+    however it splits into storage reads and observed repairs, because an
+    observed repair through helpers that span F^k exposes exactly the
+    repaired node's own space.  Of the checks `observe` makes, all but
+    the plan check are settled once per sweep: `encode_system` raises a
+    field or k mismatch, the budget is capped at k - 1 and the
+    enumeration names only nodes that exist.  Whether `observe` refuses a
+    plan depends only on which node types a spec's e2 holds, since each
+    failed type's helpers are fixed here.  So the first spec, in
+    enumeration order, whose e2 holds a type no earlier call has accepted
+    is observed as it is, with its repair plans: every spec refused one
+    by one is refused here, with the same error.  Only those specs reach
+    `observe`, whose verdict their node set keeps; every other new node
+    set is judged by one `node_set_verdict` call.  In exhaustive order
+    that is one evaluation per distinct union, and plans reach `observe`
+    at most once per failed type.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
-    n = len(nodes)
+    n, n1 = len(nodes), config.n1
     splits = [(l1, l2) for total in range(budget + 1)
               for l1 in range(total + 1) for l2 in (total - l1,)]
     total_specs = sum(comb(n, l1) * comb(n - l1, l2) for l1, l2 in splits)
@@ -297,45 +395,58 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     helpers = {t: framework.default_helpers(system, t) for t in (1, 2)}
     rng = np.random.default_rng(seed)
 
-    # (e1, e2) are built sorted and disjoint, as EavesdropperSpec.of makes them
-    def spec_iter():
-        for l1, l2 in splits:
-            if exhaustive:
-                for e1 in combinations(nodes, l1):
-                    rest = [x for x in nodes if x not in e1] if l2 else ()
-                    for e2 in combinations(rest, l2):
-                        yield l1, l2, e1, e2
-            else:
-                count = comb(n, l1) * comb(n - l1, l2)
-                seen = set()
-                target = min(samples_per_split, count)
-                while len(seen) < target:
-                    picks = rng.permutation(n)[: l1 + l2]
-                    e1 = tuple(sorted(nodes[i] for i in picks[:l1]))
-                    e2 = tuple(sorted(nodes[i] for i in picks[l1:]))
-                    if (e1, e2) in seen:
-                        continue
-                    seen.add((e1, e2))
-                    yield l1, l2, e1, e2
+    def node_tuple(indices):
+        return tuple(nodes[i] for i in indices)
 
-    rows = []
-    worst = {}
-    verdicts = {}       # sorted e1 | e2 -> verdict
+    verdicts, verdict_index = [], {}  # distinct verdicts, each one's index
+    set_verdict = {}    # (size, colex rank) of e1 | e2 -> verdict index
     accepted = set()    # failed types whose helpers observe has accepted
-    for l1, l2, e1, e2 in spec_iter():
-        union = tuple(sorted(e1 + e2))
-        if len(accepted) < 2 and any(t not in accepted for t, _ in e2):
-            verdict = verdicts[union] = _verdict(observe(
-                system, layout, EavesdropperSpec(e1=e1, e2=e2),
-                {n: helpers[n[0]] for n in e2}))
-            accepted.update(t for t, _ in e2)
+
+    def keep(node_set, verdict):
+        key = verdict["rank"], verdict["leakage"], verdict["guaranteed"]
+        if key not in verdict_index:
+            verdict_index[key] = len(verdicts)
+            verdicts.append(verdict)
+        set_verdict[node_set] = verdict_index[key]
+
+    blocks = []
+    for l1, l2 in splits:
+        if exhaustive:
+            e1, e2 = _enumerate_split(n, l1, l2)
         else:
-            verdict = verdicts.get(union)
-            if verdict is None:
-                verdict = verdicts[union] = node_set_verdict(config, layout,
-                                                             union)
-        rows.append({"e1": e1, "e2": e2, "l1": l1, "l2": l2, **verdict})
-        if verdict["leakage"] > worst.get((l1, l2), -1):
-            worst[(l1, l2)] = verdict["leakage"]
-    return SweepResult(rows=tuple(rows), worst_leakage=worst,
+            count = comb(n, l1) * comb(n - l1, l2)
+            e1, e2 = _sample_split(rng, n, l1, l2,
+                                   min(samples_per_split, count))
+        # e1 | e2 as sorted rows, which a split of one part already holds
+        sets = (np.sort(np.hstack([e1, e2]), axis=1) if l1 and l2
+                else e2 if l2 else e1)
+        ranks = _colex_ranks(sets, n)
+        size = l1 + l2
+        holds = {1: (e2 < n1).any(axis=1), 2: (e2 >= n1).any(axis=1)}
+        # each failed type's first row settles it; a row holding both
+        # types is the first of each
+        for r in sorted({int(np.argmax(holds[t])) for t in (1, 2)
+                         if t not in accepted and holds[t].any()}):
+            spec = EavesdropperSpec(e1=node_tuple(e1[r].tolist()),
+                                    e2=node_tuple(e2[r].tolist()))
+            keep((size, int(ranks[r])), _verdict(observe(
+                system, layout, spec, {x: helpers[x[0]] for x in spec.e2})))
+            accepted.update(t for t, _ in spec.e2)
+        distinct, first, inverse = np.unique(ranks, return_index=True,
+                                             return_inverse=True)
+        for rank, r in zip(distinct.tolist(), first.tolist()):
+            if (size, rank) not in set_verdict:
+                keep((size, rank), node_set_verdict(
+                    config, layout, node_tuple(sets[r].tolist())))
+        verdict = np.array([set_verdict[size, rank] for rank in
+                            distinct.tolist()], dtype=np.intp)[inverse]
+        for column in (e1, e2, verdict):
+            column.flags.writeable = False
+        blocks.append(SweepSplit(l1, l2, e1, e2, verdict))
+
+    leakage = np.array([v["leakage"] for v in verdicts], dtype=np.int64)
+    worst = {(b.l1, b.l2): int(leakage[b.verdict].max())
+             for b in blocks if len(b.verdict)}
+    return SweepResult(nodes=tuple(nodes), splits=tuple(blocks),
+                       verdicts=tuple(verdicts), worst_leakage=worst,
                        exhaustive=exhaustive)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twinstore
@@ -399,52 +399,73 @@ class TestEavesdrop:
                            result.exhaustive], sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "744a3cf72ba6cfbb053fbc43dce44320b93c3af9de7304ecb3c6064508e331de")
-        report = {"exhaustive": result.exhaustive,
-                  "worst_leakage": [{"l1": l1, "l2": l2, "leakage": leak}
-                                    for (l1, l2), leak
-                                    in sorted(result.worst_leakage.items())],
-                  "specs": list(result.rows)}
-        assert sweep_report_text(report) == json.dumps(
-            report, sort_keys=True, indent=2) + "\n"
+        assert sweep_report_text(result) == json.dumps(
+            sweep_report(result), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [pinned_sweep_argv, sampled_sweep_argv])
+    def test_cli_sweep_builds_no_rows(self, tmp_path, monkeypatch, argv):
+        # the CLI writes a sweep's report from its columns
+        def refuse(result):
+            raise AssertionError("a CLI sweep read SweepResult.rows")
+
+        monkeypatch.setattr(sim.SweepResult, "rows", property(refuse))
+        digests = (PINNED_SWEEP_DIGESTS if argv is pinned_sweep_argv
+                   else SAMPLED_SWEEP_DIGESTS)
+        for style, digest in digests:
+            out = tmp_path / f"{style}.json"
+            assert main(argv(style, out)) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-NODE_LISTS = st.lists(st.tuples(st.sampled_from([1, 2]),
-                                 st.integers(1, 120)).map(list), max_size=3)
-SWEEP_ROWS = st.fixed_dictionaries({
-    "e1": NODE_LISTS, "e2": NODE_LISTS, "guaranteed": st.booleans(),
-    "l1": st.integers(0, 12), "l2": st.integers(0, 12),
-    "leakage": st.integers(0, 400), "rank": st.integers(0, 400)})
-WORST_LEAKAGE = st.lists(st.fixed_dictionaries({
-    "l1": st.integers(0, 12), "l2": st.integers(0, 12),
-    "leakage": st.integers(0, 400)}), max_size=3)
+def sweep_report(result):
+    """The report a sweep's text writes, as json.dumps would take it."""
+    return {"exhaustive": result.exhaustive,
+            "worst_leakage": [{"l1": l1, "l2": l2, "leakage": leak}
+                              for (l1, l2), leak
+                              in sorted(result.worst_leakage.items())],
+            "specs": list(result.rows)}
 
 
-@FUZZ
-@given(report=st.fixed_dictionaries({
-    "exhaustive": st.booleans(), "worst_leakage": WORST_LEAKAGE,
-    "specs": st.lists(SWEEP_ROWS, max_size=6)}))
-@example(report={"exhaustive": True, "worst_leakage": [], "specs": []})
-@example(report={  # tuple rows, as sweep_eavesdroppers makes them, then
-    "exhaustive": True,  # a list row of the same nodes
-    "worst_leakage": [{"l1": 2, "l2": 0, "leakage": 4}],
-    "specs": [{"e1": ((1, 1), (2, 3)), "e2": (), "guaranteed": False,
-               "l1": 2, "l2": 0, "leakage": 4, "rank": 7},
-              {"e1": ((1, 1),), "e2": ((2, 3),), "guaranteed": False,
-               "l1": 1, "l2": 1, "leakage": 4, "rank": 7},
-              {"e1": ((1, 1),), "e2": ((2, 4),), "guaranteed": True,
-               "l1": 1, "l2": 1, "leakage": 0, "rank": 7},
-              {"e1": [[1, 1]], "e2": [[2, 3]], "guaranteed": False,
-               "l1": 1, "l2": 1, "leakage": 4, "rank": 7}]})
-@example(report={
-    "exhaustive": False,
-    "worst_leakage": [{"l1": 0, "l2": 1, "leakage": 12}],
-    "specs": [{"e1": [], "e2": [[2, 11]], "guaranteed": True, "l1": 0,
-               "l2": 1, "leakage": 0, "rank": 6},
-              {"e1": [[1, 10], [2, 3]], "e2": [], "guaranteed": False,
-               "l1": 2, "l2": 0, "leakage": 10, "rank": 11}]})
-def test_sweep_report_text_matches_json_dumps(report):
-    assert sweep_report_text(report) == json.dumps(
-        report, sort_keys=True, indent=2) + "\n"
+@st.composite
+def small_sweeps(draw):
+    """Arguments of a sweep of at most ten nodes at q=11, exhaustive or
+    sampled, whose rows may be none."""
+    k = draw(st.integers(1, 4))
+    l1 = draw(st.integers(0, k - 1))
+    l2 = draw(st.integers(0, k - 1 - l1))
+    return {"style": draw(st.sampled_from(["vandermonde", "systematic",
+                                           "explicit"])),
+            "n1": draw(st.integers(k, 5)), "n2": draw(st.integers(k, 5)),
+            "k": k, "l1": l1, "l2": l2,
+            "protected_type": draw(st.sampled_from([1, 2])),
+            "max_budget": draw(st.integers(0, k)),
+            "seed": draw(st.integers(0, 3)),
+            "enumeration_limit": draw(st.sampled_from([0, 30, 10**5])),
+            "samples_per_split": draw(st.integers(0, 8))}
+
+
+@settings(FUZZ, max_examples=40)
+@given(case=small_sweeps())
+@example(case={  # sampled with no samples: no rows at all
+    "style": "vandermonde", "n1": 3, "n2": 3, "k": 3, "l1": 1, "l2": 1,
+    "protected_type": 1, "max_budget": 2, "seed": 0,
+    "enumeration_limit": 0, "samples_per_split": 0})
+@example(case={  # exhaustive at k = 4 over an explicit code
+    "style": "explicit", "n1": 5, "n2": 5, "k": 4, "l1": 2, "l2": 1,
+    "protected_type": 2, "max_budget": 3, "seed": 1,
+    "enumeration_limit": 10**5, "samples_per_split": 0})
+def test_sweep_report_text_matches_json_dumps(case):
+    f11 = PrimeField(11)
+    k, l1, l2 = case["k"], case["l1"], case["l2"]
+    config = build_config(f11, case["n1"], case["n2"], k, case["style"])
+    layout = make_secure_layout([0] * k * (k - l1 - l2), l1, l2, k, f11,
+                                protected_type=case["protected_type"])
+    result = sweep_eavesdroppers(
+        config, layout, max_budget=case["max_budget"], seed=case["seed"],
+        enumeration_limit=case["enumeration_limit"],
+        samples_per_split=case["samples_per_split"])
+    assert sweep_report_text(result) == json.dumps(
+        sweep_report(result), sort_keys=True, indent=2) + "\n"
 
 
 def explicit_q101_docs():

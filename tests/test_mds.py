@@ -31,6 +31,7 @@ from twinstore.errors import (
     TooFewPoints,
     UnverifiedCode,
 )
+from twinstore import field as field_module
 from twinstore import mds
 from twinstore.field import _pivot_columns, vstack
 from twinstore.mds import MINOR_CHECK_MAX_N
@@ -464,6 +465,26 @@ class TestErasureDecode:
         r = [2, 5, 7, 3]
         syms = [r[0], r[1], r[2], sum(r) % 11]
         assert np.array_equal(erasure_decode(code, [1, 2, 3, 4], syms), r)
+
+    def test_loaded_code_decodes_without_elimination(self, f11, monkeypatch):
+        # load_explicit hands the systematic form its check built to the
+        # code it returns: one elimination to load, none to decode
+        reductions = []
+        raw_reduce = mds._row_reduce
+
+        def counting_reduce(*args, **kwargs):
+            reductions.append(args[0].shape)
+            return raw_reduce(*args, **kwargs)
+
+        for module in (field_module, mds):  # and the name mds imports
+            monkeypatch.setattr(module, "_row_reduce", counting_reduce)
+        code = load_explicit(FieldMatrix(DEMO_G2, f11))
+        assert reductions == [(4, 10)]
+        r = [2, 5, 7, 3]
+        word = encode_row(code, r)
+        assert np.array_equal(
+            erasure_decode(code, [2, 4, 5, 6], word[[1, 3, 4, 5]]), r)
+        assert reductions == [(4, 10)]
 
     def test_roundtrip_random_subsets(self, f11):
         rng = np.random.default_rng(1)

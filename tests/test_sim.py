@@ -1,9 +1,12 @@
 import json
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from twinstore import sim
 from twinstore import (
     EavesdropperSpec,
     PrimeField,
@@ -28,7 +31,7 @@ from twinstore.eavesdrop import leakage_by_elimination
 from twinstore.framework import TwinConfig
 from twinstore.mds import MdsCode, code_to_json, load_explicit, make_vandermonde
 from twinstore.field import FieldMatrix
-from twinstore.secure import make_secure_layout
+from twinstore.secure import make_secure_layout, node_set_verdict
 
 from conftest import build_config
 from test_fuzz_inputs import FUZZ, scenarios
@@ -499,6 +502,39 @@ class TestSweep:
             sweep_eavesdroppers(config, layout, max_budget=2,
                                 enumeration_limit=1, samples_per_split=2)
 
+    @pytest.mark.parametrize("style", ["vandermonde", "systematic",
+                                       "explicit", "non-mds"])
+    @pytest.mark.parametrize("protected_type", [1, 2])
+    @pytest.mark.parametrize("limit", [10**5, 50])
+    def test_rows_equal_per_spec_loop(self, f11, style, protected_type, limit):
+        # every budget, exhaustive and sampled; the sampled splits of at
+        # most one node hold no more specs than samples_per_split
+        config = (spanning_non_mds_config() if style == "non-mds"
+                  else build_config(f11, 5, 6, 4, style))
+        k = config.k
+        layout = make_secure_layout([0] * k * (k - 2), 1, 1, k, f11,
+                                    protected_type=protected_type)
+        for budget in range(k):
+            result = sweep_eavesdroppers(config, layout, max_budget=budget,
+                                         seed=budget, enumeration_limit=limit,
+                                         samples_per_split=12)
+            assert_sweep_equals_per_spec_loop(result, config, layout, budget,
+                                              budget, limit, 12)
+
+    def test_rows_equal_per_spec_loop_beyond_int64_ranks(self):
+        # 144 nodes at k = 15: C(144, 14) is just above 2^63, so the
+        # 14-node splits rank node sets as Python ints
+        f73 = PrimeField(73)
+        config = build_config(f73, 72, 72, 15)
+        layout = make_secure_layout([0] * 15 * 13, 1, 1, 15, f73)
+        assert 2 ** 63 < comb(144, 14) < 2 ** 64
+        assert sim._binomials(144, 14).dtype == object
+        result = sweep_eavesdroppers(config, layout, max_budget=14, seed=2,
+                                     samples_per_split=1)
+        assert len(result.rows) == 120
+        assert_sweep_equals_per_spec_loop(result, config, layout, 14, 2,
+                                          10**5, 1)
+
     def test_worst_leakage_monotone_in_budget(self, demo_config, demo_layout):
         result = sweep_eavesdroppers(demo_config, demo_layout, max_budget=3)
         worst_by_total = {}
@@ -507,6 +543,56 @@ class TestSweep:
             worst_by_total[total] = max(worst_by_total.get(total, 0), leak)
         assert worst_by_total[0] == 0
         assert worst_by_total[0] <= worst_by_total[1] <= worst_by_total[2]
+
+
+def per_spec_loop(config, layout, max_budget, seed, enumeration_limit,
+                  samples_per_split):
+    """A sweep's rows, worst leakage and mode, one `node_set_verdict` per
+    spec: specs from `combinations`, or drawn one `rng.permutation` at a
+    time with repeats drawn again."""
+    nodes = [(1, j) for j in range(1, config.n1 + 1)] + \
+            [(2, j) for j in range(1, config.n2 + 1)]
+    n, budget = len(nodes), min(max_budget, config.k - 1)
+    splits = [(l1, total - l1) for total in range(budget + 1)
+              for l1 in range(total + 1)]
+    exhaustive = sum(comb(n, l1) * comb(n - l1, l2)
+                     for l1, l2 in splits) <= enumeration_limit
+    rng = np.random.default_rng(seed)
+    rows, worst = [], {}
+    for l1, l2 in splits:
+        if exhaustive:
+            specs = [(e1, e2) for e1 in combinations(nodes, l1)
+                     for e2 in combinations([x for x in nodes if x not in e1],
+                                            l2)]
+        else:
+            specs = []
+            target = min(samples_per_split, comb(n, l1) * comb(n - l1, l2))
+            while len(specs) < target:
+                picks = rng.permutation(n)[: l1 + l2]
+                spec = (tuple(sorted(nodes[i] for i in picks[:l1])),
+                        tuple(sorted(nodes[i] for i in picks[l1:])))
+                if spec not in specs:
+                    specs.append(spec)
+        for e1, e2 in specs:
+            verdict = node_set_verdict(config, layout, e1 + e2)
+            rows.append({"e1": e1, "e2": e2, "l1": l1, "l2": l2, **verdict})
+            worst[(l1, l2)] = max(worst.get((l1, l2), 0), verdict["leakage"])
+    return rows, worst, exhaustive
+
+
+def assert_sweep_equals_per_spec_loop(result, config, layout, *args):
+    rows, worst, exhaustive = per_spec_loop(config, layout, *args)
+    assert list(result.rows) == rows
+    assert list(result.worst_leakage.items()) == list(worst.items())
+    assert result.exhaustive is exhaustive
+    for row in result.rows:
+        assert [type(row[key]) for key in ("l1", "l2", "rank", "leakage",
+                                           "guaranteed")] == [int] * 4 + [bool]
+        for pairs in (row["e1"], row["e2"]):
+            assert type(pairs) is tuple and all(
+                type(pair) is tuple and list(map(type, pair)) == [int, int]
+                for pair in pairs), row
+    assert all(type(leak) is int for leak in result.worst_leakage.values())
 
 
 # The events of demos/04_scenario_engine.py; then events whose normalized
