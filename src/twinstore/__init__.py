@@ -52,7 +52,6 @@ from .framework import (
 from .mds import (
     MdsCode,
     code_from_json,
-    code_to_json,
     encode_row,
     erasure_decode,
     find_singular_minor,

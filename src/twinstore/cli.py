@@ -78,13 +78,18 @@ def _config(args, doc):
                          style=args.style)
 
 
+def _layout(args, config, **payload):
+    # the layout flags alone are a layout document: --q and --k belong to
+    # the config, whose explicit generators may have other sizes
+    doc = {"l1": args.l1, "l2": args.l2, "seed": args.seed, **payload}
+    return loader.layout(doc, config)
+
+
 def cmd_encode(args) -> int:
     doc = loader.read_json(args.infile)
     config = _config(args, doc)
-    layout = loader.layout({**vars(args), "payload": doc}, config)
-    system = encode_system(config, layout.matrix)
-    snapshot = system.to_json_dict()
-    snapshot["layout"] = layout.to_json_dict()
+    layout = _layout(args, config, payload=doc)
+    snapshot = loader.snapshot_doc(encode_system(config, layout.matrix), layout)
     _write_text(args.out, json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -179,7 +184,7 @@ def cmd_eavesdrop(args) -> int:
             "twinstore.sim.sweep_eavesdroppers")
     doc = loader.read_json(args.infile) if args.infile else None
     config = _config(args, doc)
-    layout = loader.layout(vars(args), config)  # flags l1, l2, seed; zero payload
+    layout = _layout(args, config)  # zero payload
     if doc is not None:
         spec = loader.spec(doc, config)
         system = encode_system(config, layout.matrix)

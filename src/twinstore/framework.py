@@ -253,34 +253,10 @@ class TwinSystem:
 
     # -------------------------------------------------------------- JSON
 
-    def to_json_dict(self) -> dict:
-        def family(nodes):
-            return [
-                {"index": nc.node_index,
-                 "symbols": None if nc.symbols is None else nc.symbols.tolist(),
-                 "live": nc.symbols is not None}
-                for nc in nodes
-            ]
-        cfg = self.config
-        return {
-            "config": {
-                "q": cfg.field.p, "n1": cfg.n1, "n2": cfg.n2, "k": cfg.k,
-                "codes": [_code_doc(cfg.code1), _code_doc(cfg.code2)],
-            },
-            "nodes": {"type1": family(self.nodes1),
-                      "type2": family(self.nodes2)},
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TwinSystem":
         from .loader import snapshot  # the loader builds on this module
         return snapshot(doc)
-
-
-def _code_doc(code: MdsCode) -> dict:
-    return {"style": code.style,
-            "points": None if code.eval_points is None else list(code.eval_points),
-            "generator": code.generator.tolist()}
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,17 @@
-"""One loader for every document the CLI, scenarios and snapshots read
-(README "File formats").  Input that cannot be parsed into the object it
-names raises MalformedInput: a wrong JSON type, a missing key, a
-non-integer (or one beyond 64 bits), an unknown node type or style, a
-non-prime modulus, a node outside the config, duplicate or overlapping
-nodes.  Valid input the math refuses keeps its domain error.
+"""The one module that knows each document format (README "File
+formats"): it reads every document the CLI, scenarios and snapshots read,
+and writes the ones they write, each writer beside its reader:
+`code_doc` (generator documents), `config_doc` (a snapshot's stored
+config), `layout_doc` and `snapshot_doc`.  The eavesdropper spec's writer
+is `EavesdropperSpec.to_json_dict`: `eavesdrop_report` writes it, and
+`eavesdrop` sits below this module in the import order.
+
+Input that cannot be parsed into the object it names raises
+MalformedInput: a wrong JSON type, a missing key, a non-integer (or one
+beyond 64 bits), an unknown node type or style, a non-prime modulus, a
+node outside the config, duplicate or overlapping nodes, or a declared
+size that disagrees with what the document holds or belongs to.  Valid
+input the math refuses keeps its domain error.
 """
 
 from __future__ import annotations
@@ -66,6 +74,13 @@ def _matrix(value, what) -> list:
     return [[integer(x, f"{what} entry") for x in row] for row in rows]
 
 
+def _sizes(doc, actual: dict, what):
+    """Refuse a declared size (a key of `actual`) that is not in its set
+    of actual values."""
+    if any({integer(doc[key], key)} != actual[key] for key in actual if key in doc):
+        raise MalformedInput(f"declared sizes do not match the {what}")
+
+
 def node_type(value, what="node type") -> int:
     return _check(integer(value, what) in (1, 2), what, value, "1 or 2")
 
@@ -87,16 +102,22 @@ def nodes(value, config: TwinConfig, what) -> list:
     return out
 
 
+def code_doc(code: mds.MdsCode) -> dict:
+    """Generator document: {"p", "n", "k", "generator"} (row-major, k rows)."""
+    return {"p": code.field.p, "n": code.n, "k": code.k,
+            "generator": code.generator.tolist()}
+
+
 def code(doc, what="generator") -> mds.MdsCode:
     """Generator document {"p", "n", "k", "generator"}: an MDS-verified code."""
     doc = as_object(doc, what)
-    _field(_get(doc, "p", what), f"{what} p")
+    field = _field(_get(doc, "p", what), f"{what} p")
     n, k = (integer(_get(doc, key, what), f"{what} {key}") for key in ("n", "k"))
     rows = _matrix(_get(doc, "generator", what), f"{what} generator")
     if (k, n) != (len(rows), len(rows[0])):
         raise MalformedInput(f"declared (n={n}, k={k}) does not match "
                              f"generator shape {len(rows)}x{len(rows[0])}")
-    return mds.code_from_json(doc)
+    return mds.load_explicit(FieldMatrix(rows, field))
 
 
 def generator_matrix(doc) -> list:
@@ -106,22 +127,35 @@ def generator_matrix(doc) -> list:
 
 
 def _stored_code(doc, field: PrimeField) -> mds.MdsCode:
-    """A snapshot's {"style", "points", "generator"}: explicit generators get
-    the minor check; the others are rebuilt from their points and must match."""
+    """A snapshot's {"style", "points", "generator"}: explicit generators,
+    whose points are null, get the minor check; the others are rebuilt from
+    their points and must match."""
     doc = as_object(doc, "code")
     gen = FieldMatrix(_matrix(_get(doc, "generator", "code"), "code generator"), field)
-    style, points = _get(doc, "style", "code"), doc.get("points")
+    style = _check(isinstance(_get(doc, "style", "code"), str), "code style",
+                   doc["style"], "a string")
+    points = doc.get("points")
+    if points is not None:  # an explicit code has none
+        _check(style != "explicit", "explicit code points", points, "null")
+        points = [integer(x, "code point") for x in as_list(points, "code points")]
     if style == "explicit":
         return mds.load_explicit(gen)
-    if not (isinstance(style, str) and style in MAKERS):
+    if style not in MAKERS:
         raise UnverifiedCode(f"unknown code style {style!r}")
-    if points is not None:
-        points = [integer(x, "code point") for x in as_list(points, "code points")]
     built = MAKERS[style](gen.cols, gen.rows, field, points)
     if built.generator != gen:
         raise UnverifiedCode(
             f"stored {style} generator differs from the one its points define")
     return built
+
+
+def config_doc(config: TwinConfig) -> dict:
+    """A snapshot's stored config: its sizes and both codes, each with its
+    style, points (null for explicit codes) and generator."""
+    return {"q": config.field.p, "n1": config.n1, "n2": config.n2, "k": config.k,
+            "codes": [{"style": c.style, "points": None if c.eval_points is None
+                       else list(c.eval_points), "generator": c.generator.tolist()}
+                      for c in (config.code1, config.code2)]}
 
 
 def config(doc, style=None) -> TwinConfig:
@@ -152,10 +186,8 @@ def config(doc, style=None) -> TwinConfig:
     # checked before TwinConfig, so codes that disagree with a declared
     # size are malformed input rather than a domain error
     code1, code2 = codes
-    actual = {"q": {code1.field.p, code2.field.p}, "n1": {code1.n},
-              "n2": {code2.n}, "k": {code1.k, code2.k}}
-    if any({integer(doc[key], key)} != actual[key] for key in actual if key in doc):
-        raise MalformedInput("declared sizes do not match the codes")
+    _sizes(doc, {"q": {code1.field.p, code2.field.p}, "n1": {code1.n},
+                 "n2": {code2.n}, "k": {code1.k, code2.k}}, "codes")
     return TwinConfig(code1, code2)
 
 
@@ -166,14 +198,24 @@ def payload(doc) -> list:
     return [integer(x, "payload symbol") for x in as_list(doc, "payload")]
 
 
-def layout(doc, config: TwinConfig):
-    """{"l1", "l2", "seed", "protected_type", "payload"} -> SecureLayout.
+def layout_doc(layout) -> dict:
+    """{"q", "k", "l1", "l2", "seed", "protected_type", "payload"}."""
+    return {"q": layout.field.p, "k": layout.k, "l1": layout.l1, "l2": layout.l2,
+            "seed": layout.seed, "protected_type": layout.protected_type,
+            "payload": layout.payload.tolist()}
 
-    Defaults 0, 0, 0, 1; the payload goes through `payload`.  A plain
-    layout (l1 = l2 = 0) zero-pads a short payload, and a layout with no
-    payload holds zeros; a secure one needs exactly k*(k-l1-l2) symbols.
+
+def layout(doc, config: TwinConfig):
+    """{"q", "k", "l1", "l2", "seed", "protected_type", "payload"} ->
+    SecureLayout for `config`.
+
+    A declared q or k must be the config's.  Defaults 0, 0, 0, 1; the
+    payload goes through `payload`.  A plain layout (l1 = l2 = 0)
+    zero-pads a short payload, and a layout with no payload holds zeros;
+    a secure one needs exactly k*(k-l1-l2) symbols.
     """
     doc = as_object(doc, "layout")
+    _sizes(doc, {"q": {config.field.p}, "k": {config.k}}, "config")
     l1, l2, seed = (integer(doc.get(key, 0), key, low=0) for key in ("l1", "l2", "seed"))
     protected = node_type(doc.get("protected_type", 1), "protected_type")
     values = payload(doc["payload"]) if "payload" in doc else []
@@ -193,12 +235,28 @@ def spec(doc, config: TwinConfig) -> EavesdropperSpec:
         raise MalformedInput(str(exc)) from None
 
 
+def snapshot_doc(system: TwinSystem, layout=None) -> dict:
+    """The snapshot document `snapshot` reads, with the layout the system
+    was encoded from under "layout" when one is given."""
+    doc = {"config": config_doc(system.config), "nodes": {
+        f"type{t}": [{"index": node.node_index, "live": node.symbols is not None,
+                      "symbols": None if node.symbols is None else node.symbols.tolist()}
+                     for node in nodes]
+        for t, nodes in ((1, system.nodes1), (2, system.nodes2))}}
+    if layout is not None:
+        doc["layout"] = layout_doc(layout)
+    return doc
+
+
 def snapshot(doc) -> TwinSystem:
-    """{"config", "nodes": {"type1": [...], "type2": [...]}}, one entry
-    {"index", "symbols", "live"} per node in index order; "live" is true
-    exactly when "symbols" is not null."""
+    """{"config", "nodes": {"type1": [...], "type2": [...]}, "layout"}, one
+    entry {"index", "symbols", "live"} per node in index order; "live" is
+    true exactly when "symbols" is not null.  The optional "layout" must be
+    a layout of the snapshot's own config; it is checked, not returned."""
     doc = as_object(doc, "snapshot")
     cfg = config(_get(doc, "config", "snapshot"), style="stored")
+    if "layout" in doc:
+        layout(doc["layout"], cfg)
     families = as_object(_get(doc, "nodes", "snapshot"), "snapshot nodes")
     parts = {1: [], 2: []}
     for t in (1, 2):

@@ -480,18 +480,9 @@ def _decode_by_cramer(form: _SystematicForm, p: int, pos: list, syms) -> np.ndar
 # ----------------------------------------------------------------------
 # JSON interchange for explicit generators.
 
-def code_to_json(code: MdsCode) -> dict:
-    """Generator document: {"p", "n", "k", "generator"} (row-major, k rows)."""
-    return {
-        "p": code.field.p,
-        "n": code.n,
-        "k": code.k,
-        "generator": code.generator.tolist(),
-    }
-
-
 def code_from_json(doc: dict) -> MdsCode:
-    """Load and MDS-verify a generator document produced by code_to_json."""
+    """Load and MDS-verify a generator document (`loader.code_doc`); the CLI
+    reads them with `loader.code`, which refuses more as MalformedInput."""
     field = PrimeField(int(doc["p"]))
     gen = FieldMatrix(doc["generator"], field)
     code = load_explicit(gen)

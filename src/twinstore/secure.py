@@ -118,11 +118,6 @@ class SecureLayout:
             raise ValueError(f"coordinate {coord} outside [0, {self.k * self.k})")
         return f"r{coord + 1}" if coord in self.random_cols else f"a{coord + 1}"
 
-    def to_json_dict(self) -> dict:
-        return {"q": self.field.p, "k": self.k, "l1": self.l1, "l2": self.l2,
-                "seed": self.seed, "protected_type": self.protected_type,
-                "payload": self.payload.tolist()}
-
 
 def make_secure_layout(payload, l1: int, l2: int, k: int, field: PrimeField,
                        seed: int = 0, protected_type: int = 1) -> SecureLayout:

@@ -17,8 +17,8 @@ from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.errors import MalformedInput
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
-from twinstore.mds import MdsCode, code_to_json, load_explicit, \
-    make_systematic, make_vandermonde
+from twinstore.mds import MdsCode, load_explicit, make_systematic, \
+    make_vandermonde
 
 from conftest import build_config
 from test_fuzz_inputs import FUZZ
@@ -118,7 +118,7 @@ class TestDemo:
 
     def test_tampered_generator_exits_1(self, tmp_path, capsys):
         f11 = PrimeField(11)
-        doc = code_to_json(load_explicit(FieldMatrix(DEMO_G2, f11)))
+        doc = loader.code_doc(load_explicit(FieldMatrix(DEMO_G2, f11)))
         doc["generator"][3][5] = 2  # plants the singular minor
         path = write_json(tmp_path / "g2.json", doc)
         assert main(["demo", "--gen2", path]) == 1
@@ -182,8 +182,8 @@ class TestEncode:
         f11 = PrimeField(11)
         doc = {
             "payload": list(range(1, 9)),
-            "generator1": code_to_json(load_explicit(FieldMatrix(DEMO_G1, f11))),
-            "generator2": code_to_json(load_explicit(FieldMatrix(DEMO_G2, f11))),
+            "generator1": loader.code_doc(load_explicit(FieldMatrix(DEMO_G1, f11))),
+            "generator2": loader.code_doc(load_explicit(FieldMatrix(DEMO_G2, f11))),
         }
         inp = write_json(tmp_path / "in.json", doc)
         out = tmp_path / "snap.json"
@@ -215,9 +215,9 @@ class TestEavesdrop:
         assert main(["eavesdrop", "--style", "explicit", "--l1", "2",
                      "--in", write_json(tmp_path / "full.json", {
                          **spec,
-                         "generator1": code_to_json(
+                         "generator1": loader.code_doc(
                              load_explicit(FieldMatrix(DEMO_G1, PrimeField(11)))),
-                         "generator2": code_to_json(
+                         "generator2": loader.code_doc(
                              load_explicit(FieldMatrix(DEMO_G2, PrimeField(11)))),
                      }),
                      "--out", str(out)]) == 0
@@ -239,8 +239,8 @@ class TestEavesdrop:
     def test_too_wide_explicit_generator_exits_1(self, tmp_path, capsys):
         f101 = PrimeField(101)
         doc = {"e1": [[1, 1]], "e2": [],
-               "generator1": code_to_json(make_vandermonde(21, 2, f101)),
-               "generator2": code_to_json(make_vandermonde(5, 2, f101))}
+               "generator1": loader.code_doc(make_vandermonde(21, 2, f101)),
+               "generator2": loader.code_doc(make_vandermonde(5, 2, f101))}
         inp = write_json(tmp_path / "spec.json", doc)
         assert main(["eavesdrop", "--style", "explicit", "--in", inp]) == 1
         assert "UnverifiedCode" in capsys.readouterr().err
@@ -473,8 +473,8 @@ def explicit_q101_docs():
     systematic, so reading one of its first four Type 1 nodes reveals a
     whole message-matrix column."""
     f101 = PrimeField(101)
-    return {"generator1": code_to_json(make_systematic(7, 4, f101)),
-            "generator2": code_to_json(make_vandermonde(7, 4, f101,
+    return {"generator1": loader.code_doc(make_systematic(7, 4, f101)),
+            "generator2": loader.code_doc(make_vandermonde(7, 4, f101,
                                                         range(3, 10)))}
 
 
@@ -580,7 +580,7 @@ class TestExitCodes:
             self, tmp_path, capsys, argv, wrap):
         # one message on every path; `mds.code_from_json` itself still
         # raises DimensionMismatch for library callers
-        gen = code_to_json(make_vandermonde(7, 4, PrimeField(11)))
+        gen = loader.code_doc(make_vandermonde(7, 4, PrimeField(11)))
         gens = {"generator1": {**gen, "n": 8}, "generator2": gen}
         in_path = write_json(tmp_path / "in.json", wrap(gens))
         assert main([*argv, "--in", in_path]) == 2

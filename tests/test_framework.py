@@ -34,7 +34,7 @@ from twinstore.errors import (
     UnverifiedCode,
 )
 from twinstore import field as field_module
-from twinstore import framework, mds
+from twinstore import framework, loader, mds
 
 from conftest import build_config
 
@@ -531,13 +531,13 @@ class TestUniversality:
 
 class TestSnapshotJson:
     def test_roundtrip(self, demo_system):
-        doc = json.loads(json.dumps(demo_system.to_json_dict()))
+        doc = json.loads(json.dumps(loader.snapshot_doc(demo_system)))
         again = TwinSystem.from_json_dict(doc)
         assert again == demo_system
 
     def test_roundtrip_with_failures(self, demo_system):
         broken = fail_node(demo_system, 2, 3)
-        doc = json.loads(json.dumps(broken.to_json_dict()))
+        doc = json.loads(json.dumps(loader.snapshot_doc(broken)))
         again = TwinSystem.from_json_dict(doc)
         assert again == broken
         assert not again.is_live(2, 3)
@@ -549,14 +549,14 @@ class TestSnapshotJson:
         f101 = PrimeField(101)
         config = build_config(f101, 24, 24, 3)
         msg = build_message_matrix(list(range(9)), 3, f101)
-        return json.loads(json.dumps(encode_system(config, msg).to_json_dict()))
+        return json.loads(json.dumps(loader.snapshot_doc(encode_system(config, msg))))
 
     @pytest.mark.parametrize("style", ["vandermonde", "systematic"])
     def test_wide_snapshot_rebuilt_from_points(self, style):
         f101 = PrimeField(101)
         system = encode_system(build_config(f101, 24, 22, 3, style=style),
                                build_message_matrix(list(range(9)), 3, f101))
-        doc = json.loads(json.dumps(system.to_json_dict()))
+        doc = json.loads(json.dumps(loader.snapshot_doc(system)))
         assert TwinSystem.from_json_dict(doc) == system
 
     def test_duplicated_column_refused_above_minor_check_cap(self, wide_doc):
@@ -600,7 +600,7 @@ class TestSnapshotJson:
             generator=mds.make_vandermonde(6, 2, PrimeField(11)).generator.tolist()),
     ])
     def test_malformed_snapshot_refused(self, demo_system, damage):
-        doc = json.loads(json.dumps(demo_system.to_json_dict()))
+        doc = json.loads(json.dumps(loader.snapshot_doc(demo_system)))
         damage(doc)
         with pytest.raises(MalformedInput):
             TwinSystem.from_json_dict(doc)

@@ -25,6 +25,7 @@ from twinstore import (
     encode_system,
     fail_node,
 )
+from twinstore import loader
 from twinstore.cli import main
 from twinstore.demo import DEMO_G1, DEMO_G2, build_demo_config, build_demo_layout
 from twinstore.errors import TwinstoreError
@@ -223,7 +224,7 @@ def snapshot_docs():
     small = build_config(PrimeField(7), 4, 5, 3, style="systematic")
     failed = fail_node(encode_system(small, build_message_matrix([1, 2], 3,
                                                                  small.field)), 2, 3)
-    return [json.loads(json.dumps(s.to_json_dict())) for s in (demo, failed)]
+    return [json.loads(json.dumps(loader.snapshot_doc(s))) for s in (demo, failed)]
 
 
 @FUZZ

@@ -14,7 +14,6 @@ from twinstore import (
     MdsCode,
     PrimeField,
     code_from_json,
-    code_to_json,
     encode_row,
     erasure_decode,
     find_singular_minor,
@@ -32,7 +31,7 @@ from twinstore.errors import (
     UnverifiedCode,
 )
 from twinstore import field as field_module
-from twinstore import mds
+from twinstore import loader, mds
 from twinstore.field import _pivot_columns, vstack
 from twinstore.mds import MINOR_CHECK_MAX_N
 
@@ -713,19 +712,19 @@ class TestCramerDecode:
 class TestJsonInterchange:
     def test_roundtrip(self, f11):
         code = load_explicit(FieldMatrix(DEMO_G2, f11))
-        doc = json.loads(json.dumps(code_to_json(code)))
+        doc = json.loads(json.dumps(loader.code_doc(code)))
         again = code_from_json(doc)
         assert again.generator == code.generator
         assert (again.n, again.k) == (code.n, code.k)
 
     def test_rejects_tampered_document(self, f11):
-        doc = code_to_json(load_explicit(FieldMatrix(DEMO_G2, f11)))
+        doc = loader.code_doc(load_explicit(FieldMatrix(DEMO_G2, f11)))
         doc["generator"][3][5] = 2
         with pytest.raises(NotMds):
             code_from_json(doc)
 
     def test_rejects_shape_lie(self, f11):
-        doc = code_to_json(load_explicit(FieldMatrix(DEMO_G1, f11)))
+        doc = loader.code_doc(load_explicit(FieldMatrix(DEMO_G1, f11)))
         doc["n"] = 7
         with pytest.raises(DimensionMismatch):
             code_from_json(doc)

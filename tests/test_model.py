@@ -10,7 +10,7 @@ step the system must agree with it:
   failed node holds nothing;
 - `live1`/`live2` and `usable_nodes` say exactly which nodes hold symbols;
 - any k usable same-type nodes reconstruct the message matrix;
-- the snapshot survives a `to_json_dict` -> `from_json_dict` round trip.
+- the snapshot survives a `loader.snapshot_doc` -> `from_json_dict` round trip.
 """
 
 import json
@@ -37,6 +37,7 @@ from twinstore import (
     reconstruct,
     repair,
 )
+from twinstore import loader
 from twinstore.errors import DeadNode, NotEnoughHelpers
 from twinstore.framework import usable_nodes
 
@@ -143,7 +144,7 @@ class TwinSystemMachine(RuleBasedStateMachine):
 
     @invariant()
     def snapshot_round_trips(self):
-        doc = json.loads(json.dumps(self.system.to_json_dict()))
+        doc = json.loads(json.dumps(loader.snapshot_doc(self.system)))
         assert TwinSystem.from_json_dict(doc) == self.system
 
 

@@ -99,7 +99,7 @@ class TestLayout:
 
     def test_json_roundtrip(self, f11):
         layout = make_secure_layout(list(range(8)), 2, 0, 4, f11, seed=99)
-        doc = json.loads(json.dumps(layout.to_json_dict()))
+        doc = json.loads(json.dumps(loader.layout_doc(layout)))
         again = loader.layout(doc, build_config(f11, 5, 6, 4))
         assert np.array_equal(again.random_symbols, layout.random_symbols)
         assert again.matrix.a1 == layout.matrix.a1

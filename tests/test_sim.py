@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from twinstore import sim
+from twinstore import loader, sim
 from twinstore import (
     EavesdropperSpec,
     PrimeField,
@@ -29,7 +29,7 @@ from twinstore.errors import (
 from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.eavesdrop import leakage_by_elimination
 from twinstore.framework import TwinConfig
-from twinstore.mds import MdsCode, code_to_json, load_explicit, make_vandermonde
+from twinstore.mds import MdsCode, load_explicit, make_vandermonde
 from twinstore.field import FieldMatrix
 from twinstore.secure import make_secure_layout, node_set_verdict
 
@@ -64,8 +64,8 @@ def spanning_non_mds_config():
 
 def demo_scenario_doc(events=(), l1=2, l2=0, payload=None, seed=7):
     f11 = PrimeField(11)
-    g1 = code_to_json(load_explicit(FieldMatrix(DEMO_G1, f11)))
-    g2 = code_to_json(load_explicit(FieldMatrix(DEMO_G2, f11)))
+    g1 = loader.code_doc(load_explicit(FieldMatrix(DEMO_G1, f11)))
+    g2 = loader.code_doc(load_explicit(FieldMatrix(DEMO_G2, f11)))
     k = 4
     if payload is None:
         payload = list(range(1, k * (k - l1 - l2) + 1))
