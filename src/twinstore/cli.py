@@ -72,23 +72,29 @@ def cmd_scenario(args) -> int:
     return 1 if log.has_errors else 0
 
 
-def _config(args, doc):
-    # the flags are a config document; explicit generators come from --in
-    return loader.config((doc or {}) if args.style == "explicit" else vars(args),
-                         style=args.style)
+def _inputs(args, kind):
+    """The config and layout the flags give, and the `kind` part of --in.
 
-
-def _layout(args, config, **payload):
-    # the layout flags alone are a layout document: --q and --k belong to
-    # the config, whose explicit generators may have other sizes
-    doc = {"l1": args.l1, "l2": args.l2, "seed": args.seed, **payload}
-    return loader.layout(doc, config)
+    The flags are a config and a layout document with the tables' keys;
+    --q and --k belong to the config, whose explicit generators may have
+    other sizes.  With --style explicit, --in holds those generators as
+    well, and its keys are checked once against both kinds' tables.  The
+    layout holds the payload of `encode` and zeros otherwise."""
+    doc = loader.read_json(args.infile) if args.infile else None
+    config = {key: vars(args)[key] for key in loader.TABLES["config"]}
+    if args.style == "explicit":
+        config, doc = loader.split(doc, "--in", loader.TABLES["explicit config"],
+                                   loader.TABLES[kind])
+    config = loader.config(config, style=args.style)
+    flags = vars(args).keys() & (loader.TABLES["layout"].keys() - loader.TABLES["config"].keys())
+    layout = {key: vars(args)[key] for key in flags}
+    if kind == "payload":
+        layout["payload"] = loader.payload(doc)
+    return config, loader.layout(layout, config), doc
 
 
 def cmd_encode(args) -> int:
-    doc = loader.read_json(args.infile)
-    config = _config(args, doc)
-    layout = _layout(args, config, payload=doc)
+    config, layout, _ = _inputs(args, "payload")
     snapshot = loader.snapshot_doc(encode_system(config, layout.matrix), layout)
     _write_text(args.out, json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
     return 0
@@ -182,9 +188,7 @@ def cmd_eavesdrop(args) -> int:
             "--style explicit needs --in: explicit generators come from --in "
             "and get one-spec reports; sweep explicit codes through "
             "twinstore.sim.sweep_eavesdroppers")
-    doc = loader.read_json(args.infile) if args.infile else None
-    config = _config(args, doc)
-    layout = _layout(args, config)  # zero payload
+    config, layout, doc = _inputs(args, "spec")
     if doc is not None:
         spec = loader.spec(doc, config)
         system = encode_system(config, layout.matrix)

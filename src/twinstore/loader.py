@@ -1,17 +1,21 @@
 """The one module that knows each document format (README "File
-formats"): it reads every document the CLI, scenarios and snapshots read,
-and writes the ones they write, each writer beside its reader:
-`code_doc` (generator documents), `config_doc` (a snapshot's stored
-config), `layout_doc` and `snapshot_doc`.  The eavesdropper spec's writer
-is `EavesdropperSpec.to_json_dict`: `eavesdrop_report` writes it, and
+formats").  Every document kind has one key table in `TABLES`, and every
+scenario event op one in `EVENTS`: each entry maps a key to its reader and
+either its default or REQUIRED.  `read` walks a document against its
+table, and every reader of a JSON object below goes through it, so a key
+the table does not name is refused, named in the message.  The writers `code_doc`,
+`config_doc`, `layout_doc` and `snapshot_doc` emit their tables' keys in
+table order.  The eavesdropper spec's writer is
+`EavesdropperSpec.to_json_dict`: `eavesdrop_report` writes it, and
 `eavesdrop` sits below this module in the import order.
 
 Input that cannot be parsed into the object it names raises
-MalformedInput: a wrong JSON type, a missing key, a non-integer (or one
-beyond 64 bits), an unknown node type or style, a non-prime modulus, a
-node outside the config, duplicate or overlapping nodes, or a declared
-size that disagrees with what the document holds or belongs to.  Valid
-input the math refuses keeps its domain error.
+MalformedInput: an unknown key, a wrong JSON type, a missing key, a
+non-integer (or one beyond 64 bits), an unknown node type or style, a
+non-prime modulus, a node outside the config, duplicate or overlapping
+nodes, a declared size that disagrees with what the document holds or
+belongs to, or a snapshot whose live nodes are not its layout's encoding.
+Valid input the math refuses keeps its domain error.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from . import mds
 from .eavesdrop import EavesdropperSpec
 from .errors import MalformedInput, UnverifiedCode
 from .field import FieldMatrix, PrimeField
-from .framework import MAKERS, NodeContent, TwinConfig, TwinSystem
-from .secure import make_secure_layout
+from .framework import MAKERS, NodeContent, TwinConfig, TwinSystem, encode_system
+from .secure import SecureLayout
+
+REQUIRED = object()  # a table default: the document must hold the key
 
 
 def read_json(path):
@@ -41,11 +47,8 @@ def _check(ok, what, value, want):
     return value
 
 
-def _get(doc, key, what):
-    if key not in doc:
-        raise MalformedInput(f"{what} is missing {key!r}")
-    return doc[key]
-
+# ----------------------------------------------------------------------
+# Readers: each takes (value, what) and returns the value it reads.
 
 def as_object(doc, what) -> dict:
     return _check(isinstance(doc, dict), what, doc, "a JSON object")
@@ -58,6 +61,14 @@ def as_list(value, what) -> list:
 def integer(value, what, low=-2**63) -> int:
     ok = isinstance(value, int) and not isinstance(value, bool) and low <= value < 2**63
     return _check(ok, what, value, "an integer" if low < 0 else f"an integer >= {low}")
+
+
+def natural(value, what) -> int:
+    return integer(value, what, low=0)
+
+
+def integers(value, what) -> list:
+    return [integer(x, f"{what} entry") for x in as_list(value, what)]
 
 
 def _field(value, what) -> PrimeField:
@@ -74,11 +85,19 @@ def _matrix(value, what) -> list:
     return [[integer(x, f"{what} entry") for x in row] for row in rows]
 
 
-def _sizes(doc, actual: dict, what):
-    """Refuse a declared size (a key of `actual`) that is not in its set
-    of actual values."""
-    if any({integer(doc[key], key)} != actual[key] for key in actual if key in doc):
-        raise MalformedInput(f"declared sizes do not match the {what}")
+def _one_of(*choices):
+    """A reader that accepts only one of `choices`."""
+    return lambda value, what: _check(value in choices, what, value, "one of " + ", ".join(choices))
+
+
+def _typed(kind, want):
+    """A reader that accepts only instances of `kind`."""
+    return lambda value, what: _check(isinstance(value, kind), what, value, want)
+
+
+def _nullable(reader):
+    """`reader`, which also accepts null and reads it as None."""
+    return lambda value, what: None if value is None else reader(value, what)
 
 
 def node_type(value, what="node type") -> int:
@@ -102,135 +121,199 @@ def nodes(value, config: TwinConfig, what) -> list:
     return out
 
 
+# ----------------------------------------------------------------------
+# The walker, and the key tables it walks: TABLES, one per document kind,
+# and EVENTS, one per scenario event op.  An entry maps a key to (reader,
+# default), where REQUIRED as the default makes the key required.
+
+def split(doc, what, *tables) -> list:
+    """doc as one document per table, each holding the keys its table
+    names; a key no table names is refused.  A document that holds two
+    kinds is checked once this way, against the union of their tables."""
+    keys = [key for table in tables for key in table]
+    for key in as_object(doc, what):
+        _check(key in keys, f"{what} key", key, "one of " + ", ".join(keys))
+    return [{key: doc[key] for key in table if key in doc} for table in tables]
+
+
+def read(doc, table, what) -> dict:
+    """doc's value for every key of `table`, in table order: read by the
+    key's reader, or the key's default where doc lacks it.  A key the table
+    does not name, or a missing one whose default is REQUIRED, is refused."""
+    if not as_object(doc, what).keys() <= table.keys():
+        split(doc, what, table)  # refuses, naming the key
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in doc:
+            raise MalformedInput(f"{what} is missing {key!r}")
+    return {key: reader(doc[key], f"{what} {key}") if key in doc else default
+            for key, (reader, default) in table.items()}
+
+
+def _keys(default, **readers) -> dict:
+    """Table entries: each key with its reader and one default (or REQUIRED)."""
+    return {key: (reader, default) for key, reader in readers.items()}
+
+
+def _doc(kind, *values) -> dict:
+    """A document of `kind`: its table's keys in order, with these values."""
+    return dict(zip(TABLES[kind], values))
+
+
+# The generator kind comes before the tables: an explicit config's table
+# reads its generators with `code`.
+
 def code_doc(code: mds.MdsCode) -> dict:
     """Generator document: {"p", "n", "k", "generator"} (row-major, k rows)."""
-    return {"p": code.field.p, "n": code.n, "k": code.k,
-            "generator": code.generator.tolist()}
+    return _doc("generator", code.field.p, code.n, code.k, code.generator.tolist())
 
 
 def code(doc, what="generator") -> mds.MdsCode:
     """Generator document {"p", "n", "k", "generator"}: an MDS-verified code."""
-    doc = as_object(doc, what)
-    field = _field(_get(doc, "p", what), f"{what} p")
-    n, k = (integer(_get(doc, key, what), f"{what} {key}") for key in ("n", "k"))
-    rows = _matrix(_get(doc, "generator", what), f"{what} generator")
+    p, n, k, rows = read(doc, TABLES["generator"], what).values()
     if (k, n) != (len(rows), len(rows[0])):
         raise MalformedInput(f"declared (n={n}, k={k}) does not match "
                              f"generator shape {len(rows)}x{len(rows[0])}")
-    return mds.load_explicit(FieldMatrix(rows, field))
+    return mds.load_explicit(FieldMatrix(rows, p))
+
+
+_SIZES = {"q": _field, "n1": integer, "n2": integer, "k": integer}
+TABLES = {
+    "generator": _keys(REQUIRED, p=_field, n=integer, k=integer, generator=_matrix),
+    "config": {**_keys(REQUIRED, **_SIZES), "style": (_one_of(*MAKERS), "vandermonde")},
+    # an explicit config's sizes are optional, and checked when given
+    "explicit config": {**_keys(None, **_SIZES, style=_one_of("explicit")),
+                        **_keys(REQUIRED, generator1=code, generator2=code)},
+    "stored config": _keys(REQUIRED, **_SIZES, codes=lambda value, what: _check(
+        len(as_list(value, what)) == 2, what, value, "two code documents")),
+    "stored code": {**_keys(REQUIRED, style=_typed(str, "a string"), generator=_matrix),
+                    "points": (_nullable(integers), None)},
+    "layout": {**_keys(None, q=_field, k=integer), **_keys(0, l1=natural, l2=natural, seed=natural),
+               "protected_type": (node_type, 1), "payload": (integers, None)},
+    "payload": _keys(REQUIRED, payload=integers),
+    "spec": _keys((), e1=as_list, e2=as_list),
+    # a generator document qualifies; its p, n and k are only type-checked
+    "demo generator": {**_keys(None, p=integer, n=integer, k=integer),
+                       "generator": (_matrix, REQUIRED)},
+    "snapshot": {**_keys(REQUIRED, config=as_object, nodes=as_object), "layout": (as_object, None)},
+    "snapshot nodes": _keys(REQUIRED, type1=as_list, type2=as_list),
+    "node": _keys(REQUIRED, index=integer, symbols=_nullable(integers),
+                  live=_typed(bool, "a boolean")),
+    # nothing reads "seed": it is accepted for documents that carry one
+    "scenario": {"config": (as_object, REQUIRED), "layout": (as_object, {}),
+                 "events": (as_list, ()), "seed": (integer, None)},
+}
+# each event op's table: "op", whose value picks the table, and the op's own keys
+EVENTS = {op: {"op": (_one_of(op), REQUIRED), **table} for op, table in {
+    "fail": _keys(REQUIRED, type=node_type, index=integer),
+    "repair": {**_keys(REQUIRED, type=node_type, index=integer),
+               "helpers": (_nullable(as_list), None)},
+    "reconstruct": {**_keys(REQUIRED, type=node_type), "nodes": (_nullable(as_list), None)},
+    "eavesdrop": TABLES["spec"],
+    "deploy": _keys(REQUIRED, seeds1=as_list, seeds2=as_list),
+}.items()}
+
+
+# ----------------------------------------------------------------------
+# Each kind's reader, beside its writer.
+
+def _sizes(values, actual: dict, what):
+    """Refuse a declared size (a key of `actual`, None where undeclared)
+    that is not in its set of actual values."""
+    if any(values[key] is not None and {values[key]} != actual[key] for key in actual):
+        raise MalformedInput(f"declared sizes do not match the {what}")
 
 
 def generator_matrix(doc) -> list:
     """`demo --gen1/--gen2` document: the k x n rows under "generator"."""
-    what = "generator document"
-    return _matrix(_get(as_object(doc, what), "generator", what), "generator")
+    return read(doc, TABLES["demo generator"], "generator document")["generator"]
 
 
 def _stored_code(doc, field: PrimeField) -> mds.MdsCode:
-    """A snapshot's {"style", "points", "generator"}: explicit generators,
+    """A snapshot's {"style", "generator", "points"}: explicit generators,
     whose points are null, get the minor check; the others are rebuilt from
     their points and must match."""
-    doc = as_object(doc, "code")
-    gen = FieldMatrix(_matrix(_get(doc, "generator", "code"), "code generator"), field)
-    style = _check(isinstance(_get(doc, "style", "code"), str), "code style",
-                   doc["style"], "a string")
-    points = doc.get("points")
-    if points is not None:  # an explicit code has none
-        _check(style != "explicit", "explicit code points", points, "null")
-        points = [integer(x, "code point") for x in as_list(points, "code points")]
+    v = read(doc, TABLES["stored code"], "code")
+    gen, style, points = FieldMatrix(v["generator"], field), v["style"], v["points"]
+    _check(points is None or style != "explicit", "explicit code points", points, "null")
     if style == "explicit":
         return mds.load_explicit(gen)
     if style not in MAKERS:
         raise UnverifiedCode(f"unknown code style {style!r}")
     built = MAKERS[style](gen.cols, gen.rows, field, points)
     if built.generator != gen:
-        raise UnverifiedCode(
-            f"stored {style} generator differs from the one its points define")
+        raise UnverifiedCode(f"stored {style} generator differs from the one its points define")
     return built
 
 
 def config_doc(config: TwinConfig) -> dict:
     """A snapshot's stored config: its sizes and both codes, each with its
     style, points (null for explicit codes) and generator."""
-    return {"q": config.field.p, "n1": config.n1, "n2": config.n2, "k": config.k,
-            "codes": [{"style": c.style, "points": None if c.eval_points is None
-                       else list(c.eval_points), "generator": c.generator.tolist()}
-                      for c in (config.code1, config.code2)]}
+    codes = [_doc("stored code", c.style, c.generator.tolist(),
+                  None if c.eval_points is None else list(c.eval_points))
+             for c in (config.code1, config.code2)]
+    return _doc("stored config", config.field.p, config.n1, config.n2, config.k, codes)
 
 
 def config(doc, style=None) -> TwinConfig:
     """Config document -> TwinConfig; `style` overrides the document's.
 
-    {"q", "n1", "n2", "k", "style"} builds both codes from the style.
-    Style "explicit" reads "generator1"/"generator2" generator documents,
-    and style "stored" a snapshot's config, whose "codes" carry their own
-    (see _stored_code) beside all four sizes.  Either way, every size the
-    document declares must match the codes.
+    A style of MAKERS builds both codes from the "config" table's sizes.
+    Style "explicit" reads the "generator1"/"generator2" generator
+    documents, and style "stored" a snapshot's config, whose "codes" carry
+    their own (see _stored_code) beside all four sizes.  Either way, every
+    size the document declares must match the codes.
     """
     doc = as_object(doc, "config")
-    if style is None:  # "stored" is for snapshots only
-        style = doc.get("style", "vandermonde")
-        _check(style in (*MAKERS, "explicit"), "style", style, "one of "
-               + ", ".join((*MAKERS, "explicit")))
-    if style == "explicit":
-        codes = [code(_get(doc, key, "explicit config"), key)
-                 for key in ("generator1", "generator2")]
-    else:
-        field = _field(_get(doc, "q", "config"), "q")
-        n1, n2, k = (integer(_get(doc, key, "config"), key) for key in ("n1", "n2", "k"))
-        if style != "stored":
-            return TwinConfig.build(field, n1, n2, k, style=style)
-        codes = as_list(_get(doc, "codes", "config"), "codes")
-        _check(len(codes) == 2, "codes", codes, "two code documents")
-        codes = [_stored_code(c, field) for c in codes]
+    # every style but these two reads the plain table, whose reader refuses
+    # an unknown one; "stored config" has no "style" key, so no document
+    # can ask for it
+    style = style or doc.get("style", "vandermonde")
+    v = read(doc, TABLES.get(f"{style} config", TABLES["config"]), "config")
+    if style not in ("explicit", "stored"):
+        return TwinConfig.build(v["q"], v["n1"], v["n2"], v["k"], style=style)
+    code1, code2 = ((v["generator1"], v["generator2"]) if style == "explicit"
+                    else [_stored_code(c, v["q"]) for c in v["codes"]])
     # checked before TwinConfig, so codes that disagree with a declared
     # size are malformed input rather than a domain error
-    code1, code2 = codes
-    _sizes(doc, {"q": {code1.field.p, code2.field.p}, "n1": {code1.n},
-                 "n2": {code2.n}, "k": {code1.k, code2.k}}, "codes")
+    _sizes(v, {"q": {code1.field, code2.field}, "n1": {code1.n},
+               "n2": {code2.n}, "k": {code1.k, code2.k}}, "codes")
     return TwinConfig(code1, code2)
 
 
 def payload(doc) -> list:
     """A list of integers, or an object holding one under "payload"."""
-    if isinstance(doc, dict):
-        doc = _get(doc, "payload", "payload document")
-    return [integer(x, "payload symbol") for x in as_list(doc, "payload")]
+    return (read(doc, TABLES["payload"], "payload document")["payload"]
+            if isinstance(doc, dict) else integers(doc, "payload"))
 
 
 def layout_doc(layout) -> dict:
     """{"q", "k", "l1", "l2", "seed", "protected_type", "payload"}."""
-    return {"q": layout.field.p, "k": layout.k, "l1": layout.l1, "l2": layout.l2,
-            "seed": layout.seed, "protected_type": layout.protected_type,
-            "payload": layout.payload.tolist()}
+    return _doc("layout", layout.field.p, layout.k, layout.l1, layout.l2, layout.seed,
+                layout.protected_type, layout.payload.tolist())
 
 
-def layout(doc, config: TwinConfig):
+def layout(doc, config: TwinConfig) -> SecureLayout:
     """{"q", "k", "l1", "l2", "seed", "protected_type", "payload"} ->
     SecureLayout for `config`.
 
-    A declared q or k must be the config's.  Defaults 0, 0, 0, 1; the
-    payload goes through `payload`.  A plain layout (l1 = l2 = 0)
-    zero-pads a short payload, and a layout with no payload holds zeros;
-    a secure one needs exactly k*(k-l1-l2) symbols.
+    A declared q or k must be the config's.  Defaults 0, 0, 0, 1.  A plain
+    layout (l1 = l2 = 0) zero-pads a short payload, and a layout with no
+    payload holds zeros; a secure one needs exactly k*(k-l1-l2) symbols.
     """
-    doc = as_object(doc, "layout")
-    _sizes(doc, {"q": {config.field.p}, "k": {config.k}}, "config")
-    l1, l2, seed = (integer(doc.get(key, 0), key, low=0) for key in ("l1", "l2", "seed"))
-    protected = node_type(doc.get("protected_type", 1), "protected_type")
-    values = payload(doc["payload"]) if "payload" in doc else []
-    if l1 == l2 == 0 or "payload" not in doc:
-        values += [0] * (config.k * (config.k - l1 - l2) - len(values))
-    return make_secure_layout(values, l1=l1, l2=l2, k=config.k, field=config.field,
-                              seed=seed, protected_type=protected)
+    v = read(doc, TABLES["layout"], "layout")
+    _sizes(v, {"q": {config.field}, "k": {config.k}}, "config")
+    k, l1, l2, values = config.k, v["l1"], v["l2"], v["payload"] or []
+    if l1 == l2 == 0 or v["payload"] is None:
+        values += [0] * (k * (k - l1 - l2) - len(values))
+    return SecureLayout(k=k, l1=l1, l2=l2, field=config.field, seed=v["seed"],
+                        protected_type=v["protected_type"], payload=values)
 
 
 def spec(doc, config: TwinConfig) -> EavesdropperSpec:
     """{"e1": [[type, index], ...], "e2": [...]}: storage reads, observed repairs."""
-    doc = as_object(doc, "spec")
-    e1, e2 = (nodes(doc.get(key, []), config, key) for key in ("e1", "e2"))
+    v = read(doc, TABLES["spec"], "spec")
     try:
-        return EavesdropperSpec.of(e1, e2)
+        return EavesdropperSpec(e1=nodes(v["e1"], config, "e1"), e2=nodes(v["e2"], config, "e2"))
     except ValueError as exc:  # duplicate or overlapping nodes
         raise MalformedInput(str(exc)) from None
 
@@ -238,43 +321,36 @@ def spec(doc, config: TwinConfig) -> EavesdropperSpec:
 def snapshot_doc(system: TwinSystem, layout=None) -> dict:
     """The snapshot document `snapshot` reads, with the layout the system
     was encoded from under "layout" when one is given."""
-    doc = {"config": config_doc(system.config), "nodes": {
-        f"type{t}": [{"index": node.node_index, "live": node.symbols is not None,
-                      "symbols": None if node.symbols is None else node.symbols.tolist()}
-                     for node in nodes]
-        for t, nodes in ((1, system.nodes1), (2, system.nodes2))}}
-    if layout is not None:
-        doc["layout"] = layout_doc(layout)
-    return doc
+    families = [[_doc("node", node.node_index, None if node.is_empty else node.symbols.tolist(),
+                      not node.is_empty) for node in family]
+                for family in (system.nodes1, system.nodes2)]
+    given = () if layout is None else (layout_doc(layout),)
+    return _doc("snapshot", config_doc(system.config), _doc("snapshot nodes", *families), *given)
 
 
 def snapshot(doc) -> TwinSystem:
     """{"config", "nodes": {"type1": [...], "type2": [...]}, "layout"}, one
     entry {"index", "symbols", "live"} per node in index order; "live" is
     true exactly when "symbols" is not null.  The optional "layout" must be
-    a layout of the snapshot's own config; it is checked, not returned."""
-    doc = as_object(doc, "snapshot")
-    cfg = config(_get(doc, "config", "snapshot"), style="stored")
-    if "layout" in doc:
-        layout(doc["layout"], cfg)
-    families = as_object(_get(doc, "nodes", "snapshot"), "snapshot nodes")
-    parts = {1: [], 2: []}
-    for t in (1, 2):
-        entries = as_list(_get(families, f"type{t}", "snapshot nodes"), f"type{t}")
-        _check(len(entries) == cfg.node_count(t), f"type{t}", entries,
-               f"{cfg.node_count(t)} node entries")
+    a layout of the snapshot's own config whose encoding every live node
+    holds; it is checked, not returned."""
+    v = read(doc, TABLES["snapshot"], "snapshot")
+    cfg = config(v["config"], style="stored")
+    families = read(v["nodes"], TABLES["snapshot nodes"], "snapshot nodes")
+    parts = []
+    for t, entries, count in zip((1, 2), families.values(), (cfg.n1, cfg.n2)):
+        _check(len(entries) == count, f"type{t} entries", len(entries), count)
         for slot, entry in enumerate(entries, start=1):
             what = f"type {t} node {slot}"
-            entry = as_object(entry, what)
-            _check(integer(_get(entry, "index", what), what) == slot, f"{what} index",
-                   entry["index"], slot)
-            syms = _get(entry, "symbols", what)
-            live = _get(entry, "live", what)
+            index, syms, live = read(entry, TABLES["node"], what).values()
+            _check(index == slot, f"{what} index", index, slot)
             _check(live is (syms is not None), f"{what} live", live,
                    "true exactly when symbols are given")
-            if syms is not None:
-                syms = [integer(x, f"{what} symbol") for x in as_list(syms, what)]
-                _check(len(syms) == cfg.k, what, syms, f"{cfg.k} symbols")
-                syms = cfg.field.reduce(syms)
-            parts[t].append(NodeContent(t, slot, syms))
-    return TwinSystem(cfg, tuple(parts[1]), tuple(parts[2]))
+            _check(syms is None or len(syms) == cfg.k, what, syms, f"{cfg.k} symbols")
+            parts.append(NodeContent(t, slot, None if syms is None else cfg.field.reduce(syms)))
+    if v["layout"] is not None:  # failed nodes hold nothing to compare
+        encoded = encode_system(cfg, layout(v["layout"], cfg).matrix)
+        if any(not a.is_empty and a.symbols.tolist() != b.symbols.tolist()
+               for a, b in zip(parts, encoded.nodes1 + encoded.nodes2)):
+            raise MalformedInput("snapshot live nodes differ from its layout's encoding")
+    return TwinSystem(cfg, tuple(parts[:cfg.n1]), tuple(parts[cfg.n1:]))

@@ -481,14 +481,9 @@ def _decode_by_cramer(form: _SystematicForm, p: int, pos: list, syms) -> np.ndar
 # JSON interchange for explicit generators.
 
 def code_from_json(doc: dict) -> MdsCode:
-    """Load and MDS-verify a generator document (`loader.code_doc`); the CLI
-    reads them with `loader.code`, which refuses more as MalformedInput."""
-    field = PrimeField(int(doc["p"]))
-    gen = FieldMatrix(doc["generator"], field)
-    code = load_explicit(gen)
-    if code.n != int(doc["n"]) or code.k != int(doc["k"]):
-        raise DimensionMismatch(
-            f"declared (n={doc['n']}, k={doc['k']}) does not match "
-            f"generator shape {gen.rows}x{gen.cols}"
-        )
-    return code
+    """Load and MDS-verify a generator document (`loader.code_doc`): the
+    generator kind has one reader, `loader.code`, which refuses an unknown
+    key, a missing one, a mistyped value and a declared n or k that its
+    matrix contradicts, each as MalformedInput."""
+    from .loader import code  # the loader builds on this module
+    return code(doc)

@@ -69,11 +69,12 @@ def _require(cond, msg):
         raise MalformedScenario(msg)
 
 
-def _node_list(config, refs, node_type, what, wrong_type=MixedTypes) -> tuple:
+def _node_list(config, refs, node_type, what) -> tuple:
     """k distinct nodes of one type, each an index or a [type, index] pair."""
     pairs = loader.nodes([r if isinstance(r, (list, tuple)) else (node_type, r)
                           for r in loader.as_list(refs, what)], config, what)
     if any(t != node_type for t, _ in pairs):
+        wrong_type = WrongHelperType if what == "helpers" else MixedTypes
         raise wrong_type(f"{what} must all be of type {node_type}, got {refs}")
     idx = tuple(j for _, j in pairs)
     _require(len(idx) == len(set(idx)) == config.k,
@@ -84,50 +85,37 @@ def _node_list(config, refs, node_type, what, wrong_type=MixedTypes) -> tuple:
 def parse_event(config: TwinConfig, doc: dict) -> dict:
     """The normalized event document, which `run` logs as it is.
 
-    Node references become indices, or sorted (type, index) pairs for an
-    eavesdrop's e1/e2 as EavesdropperSpec.of sorts them; node lists are
+    The keys are read by the op's table in `loader.EVENTS`.  Node
+    references become indices, or sorted (type, index) pairs for an
+    eavesdrop's e1/e2 as EavesdropperSpec sorts them; node lists are
     tuples; `helpers` and `nodes` appear only when the input gives them.
     Parsing a normalized document returns an equal one.
     """
-    doc = loader.as_object(doc, "event")
-    op = doc.get("op")
-    if op in ("fail", "repair", "reconstruct"):
-        t = loader.node_type(doc.get("type"))
-        event = {"op": op, "type": t}
-    if op == "fail":
-        event["index"] = loader.node_index(config, t, doc.get("index"))
-    elif op == "repair":
-        if doc.get("helpers") is not None:
-            event["helpers"] = _node_list(config, doc["helpers"], opposite_type(t),
-                                          "helpers", WrongHelperType)
-        event["index"] = loader.node_index(config, t, doc.get("index"))
-    elif op == "reconstruct":
-        if doc.get("nodes") is not None:
-            event["nodes"] = _node_list(config, doc["nodes"], t, "nodes")
-    elif op == "eavesdrop":
-        spec = loader.spec(doc, config)
-        _require(spec.budget < config.k,
-                 f"eavesdropper budget must stay below k={config.k}")
-        event = {"op": op, "e1": spec.e1, "e2": spec.e2}
-    elif op == "deploy":
-        event = {"op": op}
-        for key, t in (("seeds1", 1), ("seeds2", 2)):
-            event[key] = _node_list(config, doc.get(key), t, key)
-    else:
-        raise MalformedScenario(f"unknown event op {op!r}")
+    op = loader.as_object(doc, "event").get("op")
+    _require(isinstance(op, str) and op in loader.EVENTS, f"unknown event op {op!r}")
+    event = {k: v for k, v in loader.read(doc, loader.EVENTS[op], op).items() if v is not None}
+    t = event.get("type")
+    if "index" in event:
+        event["index"] = loader.node_index(config, t, event["index"])
+    # each node list and the type its nodes must have (helpers: the other one)
+    for key, typ in ("helpers", t and opposite_type(t)), ("nodes", t), ("seeds1", 1), ("seeds2", 2):
+        if key in event:
+            event[key] = _node_list(config, event[key], typ, key)
+    if op == "eavesdrop":
+        spec = loader.spec({key: event[key] for key in loader.TABLES["spec"]}, config)
+        _require(spec.budget < config.k, f"eavesdropper budget must stay below k={config.k}")
+        event.update(e1=spec.e1, e2=spec.e2)
     return event
 
 
 def scenario_from_json(doc: dict) -> Scenario:
-    """Parse and pre-validate a scenario document: {"config", "layout",
-    "events"}, see twinstore.loader for the first two."""
+    """Parse and pre-validate a scenario document: the "scenario" table's
+    {"config", "layout", "events", "seed"}; see twinstore.loader."""
     try:
-        doc = loader.as_object(doc, "scenario")
-        config = loader.config(doc.get("config", {}))
-        layout = loader.layout(doc.get("layout", {}), config)
-        events = tuple(parse_event(config, e)
-                       for e in loader.as_list(doc.get("events", []), "events"))
-        scenario = Scenario(config=config, layout=layout, events=events)
+        doc = loader.read(doc, loader.TABLES["scenario"], "scenario")
+        config = loader.config(doc["config"])
+        scenario = Scenario(config, loader.layout(doc["layout"], config),
+                            tuple(parse_event(config, e) for e in doc["events"]))
     except MalformedScenario:
         raise
     except TwinstoreError as exc:
@@ -151,14 +139,12 @@ def _static_liveness_walk(scenario: Scenario):
     config = scenario.config
     live = {1: [True] * config.n1, 2: [True] * config.n2}
     for pos, event in enumerate(scenario.events):
-        op = event["op"]
+        op, t, j = event["op"], event.get("type"), event.get("index")
         if op == "fail":
-            t, j = event["type"], event["index"]
             _require(live[t][j - 1], f"event {pos}: failing type {t} node "
                                      f"{j}, which holds no data")
             live[t][j - 1] = False
         elif op == "repair":
-            t, j = event["type"], event["index"]
             _require(not live[t][j - 1], f"event {pos}: repairing type {t} "
                                          f"node {j}, which is not failed")
             # a starved repair leaves its target failed

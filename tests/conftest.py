@@ -1,8 +1,6 @@
-import warnings
-
 import pytest
 
-from twinstore import MdsCode, PrimeField, TwinConfig, encode_system
+from twinstore import PrimeField, encode_system
 from twinstore.demo import build_demo_config, build_demo_layout
 
 # Sub-recommended connectivity (n < 2k-1) is exercised on purpose all over
@@ -34,14 +32,3 @@ def demo_layout():
 def demo_system(demo_config, demo_layout):
     return encode_system(demo_config, demo_layout.matrix)
 
-
-def build_config(field, n1, n2, k, style="vandermonde"):
-    """Both codes of one style; "explicit" wraps the Vandermonde
-    generators as explicit codes, whose ranks come from elimination."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if style != "explicit":
-            return TwinConfig.build(field, n1, n2, k, style=style)
-        built = TwinConfig.build(field, n1, n2, k)
-        return TwinConfig(*(MdsCode(code.generator, "explicit")
-                            for code in (built.code1, built.code2)))

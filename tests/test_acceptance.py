@@ -24,7 +24,7 @@ from twinstore.demo import (
 from twinstore.eavesdrop import _functional_rows
 from twinstore.errors import NotMds
 
-from conftest import build_config
+from shared_configs import build_config
 
 
 class Timer:

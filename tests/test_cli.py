@@ -17,10 +17,10 @@ from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.errors import MalformedInput
 from twinstore.field import FieldMatrix, PrimeField
 from twinstore.framework import TwinConfig, TwinSystem
-from twinstore.mds import MdsCode, load_explicit, make_systematic, \
+from twinstore.mds import MdsCode, code_from_json, load_explicit, make_systematic, \
     make_vandermonde
 
-from conftest import build_config
+from shared_configs import build_config
 from test_fuzz_inputs import FUZZ
 from test_sim import demo_scenario_doc, non_spanning_config
 
@@ -578,8 +578,8 @@ class TestExitCodes:
     ], ids=["eavesdrop", "encode", "scenario"])
     def test_declared_sizes_disagreeing_with_generator_exit_2(
             self, tmp_path, capsys, argv, wrap):
-        # one message on every path; `mds.code_from_json` itself still
-        # raises DimensionMismatch for library callers
+        # one message on every path, `mds.code_from_json` included: it
+        # reads through `loader.code` too
         gen = loader.code_doc(make_vandermonde(7, 4, PrimeField(11)))
         gens = {"generator1": {**gen, "n": 8}, "generator2": gen}
         in_path = write_json(tmp_path / "in.json", wrap(gens))
@@ -588,6 +588,8 @@ class TestExitCodes:
             "error: declared (n=8, k=4) does not match generator shape 4x7")
         with pytest.raises(MalformedInput):
             loader.code(gens["generator1"])
+        with pytest.raises(MalformedInput):
+            code_from_json(gens["generator1"])
 
     @pytest.mark.parametrize("argv, doc", [
         (["bounds", "--kind", "fig5", "--k-max", "4"], None),

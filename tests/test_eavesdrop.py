@@ -42,7 +42,7 @@ from twinstore.field import vstack
 from twinstore.secure import node_set_verdict
 from twinstore.sim import sweep_eavesdroppers
 
-from conftest import build_config
+from shared_configs import build_config
 
 
 @pytest.fixture()

@@ -36,7 +36,7 @@ from twinstore.errors import (
 from twinstore import field as field_module
 from twinstore import framework, loader, mds
 
-from conftest import build_config
+from shared_configs import build_config
 
 
 class TestMessageMatrix:

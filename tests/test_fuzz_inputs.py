@@ -30,7 +30,7 @@ from twinstore.cli import main
 from twinstore.demo import DEMO_G1, DEMO_G2, build_demo_config, build_demo_layout
 from twinstore.errors import TwinstoreError
 
-from conftest import build_config
+from shared_configs import build_config
 
 FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 

@@ -25,6 +25,7 @@ from twinstore.demo import DEMO_G1, DEMO_G2
 from twinstore.errors import (
     DimensionMismatch,
     DuplicatePoints,
+    MalformedInput,
     NotMds,
     SingularSubmatrix,
     TooFewPoints,
@@ -724,7 +725,13 @@ class TestJsonInterchange:
             code_from_json(doc)
 
     def test_rejects_shape_lie(self, f11):
+        # code_from_json reads through loader.code, the generator kind's
+        # one reader, so a declared size its matrix contradicts is
+        # malformed input, as on the CLI
         doc = loader.code_doc(load_explicit(FieldMatrix(DEMO_G1, f11)))
         doc["n"] = 7
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MalformedInput, match="declared"):
             code_from_json(doc)
+        with pytest.raises(MalformedInput, match="generator key must be one of .*'q'"):
+            code_from_json({**loader.code_doc(load_explicit(FieldMatrix(DEMO_G1, f11))),
+                            "q": 11})

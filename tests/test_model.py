@@ -41,7 +41,7 @@ from twinstore import loader
 from twinstore.errors import DeadNode, NotEnoughHelpers
 from twinstore.framework import usable_nodes
 
-from conftest import build_config
+from shared_configs import build_config
 
 NODE_TYPES = st.sampled_from([1, 2])
 

@@ -31,7 +31,7 @@ from twinstore.errors import (
 )
 from twinstore.secure import SecureLayout
 
-from conftest import build_config
+from shared_configs import build_config
 
 
 class TestCapacity:

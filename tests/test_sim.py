@@ -33,7 +33,7 @@ from twinstore.mds import MdsCode, load_explicit, make_vandermonde
 from twinstore.field import FieldMatrix
 from twinstore.secure import make_secure_layout, node_set_verdict
 
-from conftest import build_config
+from shared_configs import build_config
 from test_fuzz_inputs import FUZZ, scenarios
 
 
@@ -182,12 +182,14 @@ class TestParsing:
         assert scenario_from_json(doc).layout.protected_type == 2
 
     def test_top_level_seed_is_ignored(self):
-        # the layout's own seed draws the random symbols; a top-level
-        # "seed" is an unknown key like any other
+        # the layout's own seed draws the random symbols; the scenario
+        # table accepts an integer top-level "seed" and nothing reads it
         doc = demo_scenario_doc([{"op": "eavesdrop", "e1": [[1, 1], [2, 2]]}])
         log = run(scenario_from_json(doc)).to_jsonl()
-        for seed in (5, "x"):
+        for seed in (5, 2**40):
             assert run(scenario_from_json({**doc, "seed": seed})).to_jsonl() == log
+        with pytest.raises(MalformedScenario, match="scenario seed"):
+            scenario_from_json({**doc, "seed": "x"})
 
     def test_deploy_seed_validation(self):
         for bad in ([1, 2, 3], [1, 1, 2, 3], [1, 2, 3, 6]):
@@ -237,6 +239,25 @@ class TestRun:
         report = log.records[2]["report"]
         assert report["rank"] == 8
         assert report["leakage"] == 4
+
+    def test_repair_error_recorded_and_run_continues(self):
+        # explicit helpers that include a failed node: the repair raises
+        # NotEnoughHelpers, which becomes an error record, and the run
+        # goes on with the node still failed
+        doc = {"config": {"q": 11, "n1": 5, "n2": 5, "k": 3},
+               "layout": {"payload": list(range(1, 10))},
+               "events": [{"op": "fail", "type": 2, "index": 1},
+                          {"op": "fail", "type": 1, "index": 4},
+                          {"op": "repair", "type": 1, "index": 4, "helpers": [1, 2, 3]},
+                          {"op": "reconstruct", "type": 1}]}
+        log = run(scenario_from_json(doc))
+        repair, reconstruct = log.records[2:]
+        assert (repair["ok"], repair["error"], repair["symbols"]) == (
+            False, "NotEnoughHelpers", 0)
+        assert repair["event"]["helpers"] == (1, 2, 3)
+        assert reconstruct["ok"] and reconstruct["report"] == {
+            "nodes": [1, 2, 3], "matches_source": True}
+        assert not log.final_system.is_live(1, 4)
 
     def test_repair_starvation_recorded(self):
         events = [{"op": "fail", "type": 1, "index": 1}]
