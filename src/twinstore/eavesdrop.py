@@ -101,10 +101,6 @@ class EavesdropperSpec:
     def budget(self) -> int:
         return len(self.e1) + len(self.e2)
 
-    def to_json_dict(self) -> dict:
-        return {"e1": [list(x) for x in self.e1],
-                "e2": [list(x) for x in self.e2]}
-
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -334,7 +330,8 @@ def eavesdrop_report(system: TwinSystem, layout: SecureLayout,
                      spec: EavesdropperSpec, repair_plans=None) -> dict:
     """JSON-ready report for one eavesdropper spec: what it observes
     (`observe`), what leaks, and whether zero leakage is guaranteed."""
+    from .loader import spec_doc  # the loader builds on this module
     obs = observe(system, layout, spec, repair_plans)
-    return {"spec": spec.to_json_dict(), **_verdict(obs),
+    return {"spec": spec_doc(spec), **_verdict(obs),
             "revealed": sorted(revealed_symbols(obs),
                                key=lambda s: (s[0], int(s[1:])))}

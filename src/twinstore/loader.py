@@ -3,11 +3,10 @@ formats").  Every document kind has one key table in `TABLES`, and every
 scenario event op one in `EVENTS`: each entry maps a key to its reader and
 either its default or REQUIRED.  `read` walks a document against its
 table, and every reader of a JSON object below goes through it, so a key
-the table does not name is refused, named in the message.  The writers `code_doc`,
-`config_doc`, `layout_doc` and `snapshot_doc` emit their tables' keys in
-table order.  The eavesdropper spec's writer is
-`EavesdropperSpec.to_json_dict`: `eavesdrop_report` writes it, and
-`eavesdrop` sits below this module in the import order.
+the table does not name is refused, named in the message.  The writers
+`code_doc`, `config_doc`, `layout_doc`, `spec_doc` and `snapshot_doc`
+emit their tables' keys in table order; `eavesdrop_report` writes its
+spec with `spec_doc`.
 
 Input that cannot be parsed into the object it names raises
 MalformedInput: an unknown key, a wrong JSON type, a missing key, a
@@ -24,6 +23,7 @@ import json
 import reprlib
 
 from . import mds
+from .demo import DEMO_Q
 from .eavesdrop import EavesdropperSpec
 from .errors import MalformedInput, UnverifiedCode
 from .field import FieldMatrix, PrimeField
@@ -59,8 +59,11 @@ def as_list(value, what) -> list:
 
 
 def integer(value, what, low=-2**63) -> int:
-    ok = isinstance(value, int) and not isinstance(value, bool) and low <= value < 2**63
-    return _check(ok, what, value, "an integer" if low < 0 else f"an integer >= {low}")
+    # this and node_index run for every number read, so their messages are
+    # built only on refusal
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value < 2**63:
+        return value
+    return _check(False, what, value, "an integer" if low < 0 else f"an integer >= {low}")
 
 
 def natural(value, what) -> int:
@@ -87,7 +90,8 @@ def _matrix(value, what) -> list:
 
 def _one_of(*choices):
     """A reader that accepts only one of `choices`."""
-    return lambda value, what: _check(value in choices, what, value, "one of " + ", ".join(choices))
+    want = "one of " + ", ".join(choices)
+    return lambda value, what: _check(value in choices, what, value, want)
 
 
 def _typed(kind, want):
@@ -106,8 +110,9 @@ def node_type(value, what="node type") -> int:
 
 def node_index(config: TwinConfig, t: int, value, what="node index") -> int:
     count = config.node_count(t)
-    return _check(1 <= integer(value, what) <= count, what, value,
-                  f"a type {t} index in 1..{count}")
+    if 1 <= integer(value, what) <= count:
+        return value
+    return _check(False, what, value, f"a type {t} index in 1..{count}")
 
 
 def nodes(value, config: TwinConfig, what) -> list:
@@ -142,11 +147,12 @@ def read(doc, table, what) -> dict:
     does not name, or a missing one whose default is REQUIRED, is refused."""
     if not as_object(doc, what).keys() <= table.keys():
         split(doc, what, table)  # refuses, naming the key
-    for key, (_, default) in table.items():
-        if default is REQUIRED and key not in doc:
+    values = {}
+    for key, (reader, default) in table.items():
+        values[key] = reader(doc[key], f"{what} {key}") if key in doc else default
+        if values[key] is REQUIRED:
             raise MalformedInput(f"{what} is missing {key!r}")
-    return {key: reader(doc[key], f"{what} {key}") if key in doc else default
-            for key, (reader, default) in table.items()}
+    return values
 
 
 def _keys(default, **readers) -> dict:
@@ -191,7 +197,7 @@ TABLES = {
                "protected_type": (node_type, 1), "payload": (integers, None)},
     "payload": _keys(REQUIRED, payload=integers),
     "spec": _keys((), e1=as_list, e2=as_list),
-    # a generator document qualifies; its p, n and k are only type-checked
+    # a generator document qualifies; a declared p, n or k is checked
     "demo generator": {**_keys(None, p=integer, n=integer, k=integer),
                        "generator": (_matrix, REQUIRED)},
     "snapshot": {**_keys(REQUIRED, config=as_object, nodes=as_object), "layout": (as_object, None)},
@@ -224,8 +230,12 @@ def _sizes(values, actual: dict, what):
 
 
 def generator_matrix(doc) -> list:
-    """`demo --gen1/--gen2` document: the k x n rows under "generator"."""
-    return read(doc, TABLES["demo generator"], "generator document")["generator"]
+    """`demo --gen1/--gen2` document: the k x n rows under "generator".  A
+    declared p must be the demo's field, and a declared n or k the matrix's."""
+    v = read(doc, TABLES["demo generator"], "generator document")
+    rows = v["generator"]
+    _sizes(v, {"p": {DEMO_Q}, "n": {len(rows[0])}, "k": {len(rows)}}, f"F_{DEMO_Q} generator")
+    return rows
 
 
 def _stored_code(doc, field: PrimeField) -> mds.MdsCode:
@@ -309,11 +319,20 @@ def layout(doc, config: TwinConfig) -> SecureLayout:
                         protected_type=v["protected_type"], payload=values)
 
 
+def spec_doc(spec: EavesdropperSpec) -> dict:
+    """{"e1", "e2"}: each a list of [type, index] pairs, as a report's "spec"."""
+    return _doc("spec", [list(x) for x in spec.e1], [list(x) for x in spec.e2])
+
+
 def spec(doc, config: TwinConfig) -> EavesdropperSpec:
     """{"e1": [[type, index], ...], "e2": [...]}: storage reads, observed repairs."""
-    v = read(doc, TABLES["spec"], "spec")
+    return spec_nodes(*read(doc, TABLES["spec"], "spec").values(), config)
+
+
+def spec_nodes(e1, e2, config: TwinConfig) -> EavesdropperSpec:
+    """The spec of two lists of [type, index] pairs, each inside the config."""
     try:
-        return EavesdropperSpec(e1=nodes(v["e1"], config, "e1"), e2=nodes(v["e2"], config, "e2"))
+        return EavesdropperSpec(e1=nodes(e1, config, "e1"), e2=nodes(e2, config, "e2"))
     except ValueError as exc:  # duplicate or overlapping nodes
         raise MalformedInput(str(exc)) from None
 

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import framework, loader
-from .eavesdrop import EavesdropperSpec, _verdict, eavesdrop_report, observe
+from .eavesdrop import (EavesdropperSpec, _verdict, default_repair_plans,
+                        eavesdrop_report, observe)
 from .errors import (
     MalformedInput,
     MalformedScenario,
@@ -92,7 +93,9 @@ def parse_event(config: TwinConfig, doc: dict) -> dict:
     Parsing a normalized document returns an equal one.
     """
     op = loader.as_object(doc, "event").get("op")
-    _require(isinstance(op, str) and op in loader.EVENTS, f"unknown event op {op!r}")
+    # the message is built only on refusal
+    if not (isinstance(op, str) and op in loader.EVENTS):
+        raise MalformedScenario(f"unknown event op {op!r}")
     event = {k: v for k, v in loader.read(doc, loader.EVENTS[op], op).items() if v is not None}
     t = event.get("type")
     if "index" in event:
@@ -102,7 +105,7 @@ def parse_event(config: TwinConfig, doc: dict) -> dict:
         if key in event:
             event[key] = _node_list(config, event[key], typ, key)
     if op == "eavesdrop":
-        spec = loader.spec({key: event[key] for key in loader.TABLES["spec"]}, config)
+        spec = loader.spec_nodes(event["e1"], event["e2"], config)
         _require(spec.budget < config.k, f"eavesdropper budget must stay below k={config.k}")
         event.update(e1=spec.e1, e2=spec.e2)
     return event
@@ -315,8 +318,6 @@ def _enumerate_split(n: int, l1: int, l2: int) -> tuple:
     """Every (e1, e2) of one split as index arrays, e1 in `combinations`
     order and, for each, e2 in `combinations` order over the other nodes."""
     e1 = _combination_table(n, l1)
-    if not l2:
-        return e1, np.empty((len(e1), 0), dtype=np.intp)
     rest = np.ones((len(e1), n), dtype=bool)
     rest[np.arange(len(e1))[:, None], e1] = False
     rest = np.nonzero(rest)[1].reshape(len(e1), n - l1)
@@ -326,8 +327,10 @@ def _enumerate_split(n: int, l1: int, l2: int) -> tuple:
 
 
 def _sample_split(rng, n: int, l1: int, l2: int, target: int) -> tuple:
-    """`target` distinct (e1, e2) of one split as index arrays, each the
-    sorted head of one `rng.permutation(n)`, repeats drawn again."""
+    """`target` distinct (e1, e2) of one split, or all of them if it holds
+    fewer, as index arrays, each the sorted head of one
+    `rng.permutation(n)`, repeats drawn again."""
+    target = min(target, comb(n, l1) * comb(n - l1, l2))
     seen = {}
     while len(seen) < target:
         picks = rng.permutation(n)[: l1 + l2].tolist()
@@ -358,15 +361,12 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     the plan check are settled once per sweep: `encode_system` raises a
     field or k mismatch, the budget is capped at k - 1 and the
     enumeration names only nodes that exist.  Whether `observe` refuses a
-    plan depends only on which node types a spec's e2 holds, since each
-    failed type's helpers are fixed here.  So the first spec, in
-    enumeration order, whose e2 holds a type no earlier call has accepted
-    is observed as it is, with its repair plans: every spec refused one
-    by one is refused here, with the same error.  Only those specs reach
-    `observe`, whose verdict their node set keeps; every other new node
-    set is judged by one `node_set_verdict` call.  In exhaustive order
-    that is one evaluation per distinct union, and plans reach `observe`
-    at most once per failed type.
+    plan depends only on the failed node's type, since the system never
+    changes here and each type's default helpers are fixed.  So when the
+    budget allows a repair, the repairs of (1, 1) and then (2, 1) are
+    observed once, before any split: a sweep, sampled or not, raises the
+    error `observe` raises for a spec that observes a repair of a refused
+    type.  Every other node set is judged by one `node_set_verdict` call.
     """
     budget = min(max_budget, config.k - 1)
     nodes = _all_nodes(config)
@@ -377,16 +377,9 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
     exhaustive = total_specs <= enumeration_limit
 
     system = framework.encode_system(config, layout.matrix)
-    # the system never changes here, so each failed type's helpers are fixed
-    helpers = {t: framework.default_helpers(system, t) for t in (1, 2)}
     rng = np.random.default_rng(seed)
-
-    def node_tuple(indices):
-        return tuple(nodes[i] for i in indices)
-
     verdicts, verdict_index = [], {}  # distinct verdicts, each one's index
-    set_verdict = {}    # (size, colex rank) of e1 | e2 -> verdict index
-    accepted = set()    # failed types whose helpers observe has accepted
+    set_verdict = {}  # (size, colex rank) of e1 | e2 -> verdict index
 
     def keep(node_set, verdict):
         key = verdict["rank"], verdict["leakage"], verdict["guaranteed"]
@@ -395,35 +388,26 @@ def sweep_eavesdroppers(config: TwinConfig, layout: SecureLayout,
             verdicts.append(verdict)
         set_verdict[node_set] = verdict_index[key]
 
+    # each failed type's plan check, under its node's singleton set: nodes
+    # (1, 1) and (2, 1), whose colex ranks are their indices 0 and n1
+    for i in (0, n1) if budget else ():
+        spec = EavesdropperSpec(e1=(), e2=(nodes[i],))
+        keep((1, i), _verdict(observe(system, layout, spec,
+                                      default_repair_plans(system, spec))))
+
     blocks = []
     for l1, l2 in splits:
-        if exhaustive:
-            e1, e2 = _enumerate_split(n, l1, l2)
-        else:
-            count = comb(n, l1) * comb(n - l1, l2)
-            e1, e2 = _sample_split(rng, n, l1, l2,
-                                   min(samples_per_split, count))
-        # e1 | e2 as sorted rows, which a split of one part already holds
-        sets = (np.sort(np.hstack([e1, e2]), axis=1) if l1 and l2
-                else e2 if l2 else e1)
+        e1, e2 = (_enumerate_split(n, l1, l2) if exhaustive
+                  else _sample_split(rng, n, l1, l2, samples_per_split))
+        sets = np.sort(np.hstack([e1, e2]), axis=1)  # e1 | e2, sorted rows
         ranks = _colex_ranks(sets, n)
         size = l1 + l2
-        holds = {1: (e2 < n1).any(axis=1), 2: (e2 >= n1).any(axis=1)}
-        # each failed type's first row settles it; a row holding both
-        # types is the first of each
-        for r in sorted({int(np.argmax(holds[t])) for t in (1, 2)
-                         if t not in accepted and holds[t].any()}):
-            spec = EavesdropperSpec(e1=node_tuple(e1[r].tolist()),
-                                    e2=node_tuple(e2[r].tolist()))
-            keep((size, int(ranks[r])), _verdict(observe(
-                system, layout, spec, {x: helpers[x[0]] for x in spec.e2})))
-            accepted.update(t for t, _ in spec.e2)
         distinct, first, inverse = np.unique(ranks, return_index=True,
                                              return_inverse=True)
         for rank, r in zip(distinct.tolist(), first.tolist()):
             if (size, rank) not in set_verdict:
                 keep((size, rank), node_set_verdict(
-                    config, layout, node_tuple(sets[r].tolist())))
+                    config, layout, tuple(nodes[i] for i in sets[r].tolist())))
         verdict = np.array([set_verdict[size, rank] for rank in
                             distinct.tolist()], dtype=np.intp)[inverse]
         for column in (e1, e2, verdict):

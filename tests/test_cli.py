@@ -124,6 +124,24 @@ class TestDemo:
         assert main(["demo", "--gen2", path]) == 1
         assert "NotMds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("declared", [{}, {"p": 11, "n": 6, "k": 4}])
+    def test_generator_document_passes(self, tmp_path, capsys, declared):
+        # a bare generator, and a generator document of the demo's own code
+        path = write_json(tmp_path / "g2.json", {**declared, "generator": DEMO_G2})
+        assert main(["demo", "--gen2", path]) == 0
+        assert capsys.readouterr().out.count("PASS") == 5
+
+    @pytest.mark.parametrize("declared", [{"p": 13}, {"n": 9}])
+    def test_generator_declaring_other_sizes_exits_2(self, tmp_path, capsys,
+                                                     declared):
+        # the demo computes over F_11 with a 4x6 DEMO_G2, so a document
+        # that declares another field or shape is malformed
+        path = write_json(tmp_path / "g2.json", {**declared, "generator": DEMO_G2})
+        assert main(["demo", "--gen2", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: declared sizes do not match")
+        assert "Traceback" not in err
+
 
 class TestScenario:
     def test_empty_scenario_exit_0(self, tmp_path):
@@ -347,16 +365,14 @@ class TestEavesdrop:
     @pytest.mark.parametrize("style, digest", PINNED_SWEEP_DIGESTS)
     def test_pinned_sweep_checks_plans_once_per_failed_type(
             self, tmp_path, monkeypatch, style, digest):
-        # the first observed repair of each type brings its default
-        # helpers; every later node set is observed as storage reads
+        # each failed type's repair is observed once, up front, with its
+        # default helpers, and nothing else is observed: every node set
+        # gets a node_set_verdict
         plans = []
         raw_observe = sim.observe
 
         def recording_observe(system, layout, spec, repair_plans):
-            if repair_plans:
-                plans.append(repair_plans)
-            else:
-                assert spec.e2 == ()
+            plans.append(repair_plans)
             return raw_observe(system, layout, spec, repair_plans)
 
         monkeypatch.setattr(sim, "observe", recording_observe)

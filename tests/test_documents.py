@@ -234,8 +234,9 @@ class TestRoundTrip:
                                    max_size=config.k, unique=True))
         cut = data.draw(st.integers(0, len(spied)))
         spec = EavesdropperSpec(e1=spied[:cut], e2=spied[cut:])
-        doc = written(spec.to_json_dict())
+        doc = written(loader.spec_doc(spec))
         assert loader.spec(doc, config) == spec
+        assert list(doc) == list(loader.TABLES["spec"])
         assert_refuses(lambda d: loader.spec(d, config), doc, every_key_optional)
 
     @ROUND_TRIP

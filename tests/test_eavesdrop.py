@@ -36,7 +36,7 @@ from twinstore.errors import (
     MissingRepairPlan,
     SingularSubmatrix,
 )
-from twinstore import eavesdrop, field, mds
+from twinstore import eavesdrop, field, loader, mds
 from twinstore.demo import build_demo_config, build_demo_layout
 from twinstore.field import vstack
 from twinstore.secure import node_set_verdict
@@ -95,8 +95,8 @@ class TestSpec:
             assert spec.e1 == ((1, 1), (1, 2)) and spec.e2 == ((2, 3), (2, 4))
             assert all(type(x) is int for node in spec.e1 + spec.e2
                        for x in node)
-            assert spec.to_json_dict() == {"e1": [[1, 1], [1, 2]],
-                                           "e2": [[2, 3], [2, 4]]}
+            assert loader.spec_doc(spec) == {"e1": [[1, 1], [1, 2]],
+                                             "e2": [[2, 3], [2, 4]]}
 
 
 class TestObserve:

@@ -385,8 +385,8 @@ class TestSweep:
             spec = EavesdropperSpec.of(row["e1"], row["e2"])
             report = eavesdrop_report(system, layout, spec,
                                       default_repair_plans(system, spec))
-            assert report["spec"] == EavesdropperSpec(
-                e1=row["e1"], e2=row["e2"]).to_json_dict()
+            assert report["spec"] == loader.spec_doc(EavesdropperSpec(
+                e1=row["e1"], e2=row["e2"]))
             for key in ("rank", "leakage", "guaranteed"):
                 assert row[key] == report[key], (row, report)
             assert row["guaranteed"] == guaranteed_secure_set(
@@ -507,21 +507,51 @@ class TestSweep:
     def test_sampled_repair_refused_after_its_union_was_read(self,
                                                               monkeypatch):
         # scripted draws: type 2 node 1 is first read from storage beside
-        # type 1 node 1, then observed in repair beside it; that second
-        # spec, whose node set the sweep has seen, is still refused
-        draws = iter([[], [0], [1], [0], [1], [0, 1], [0, 2], [5, 0], [0, 5],
-                      [0, 1], [0, 2]])
-
-        class ScriptedRng:
-            def permutation(self, n):
-                head = next(draws)
-                return np.array(head + [i for i in range(n) if i not in head])
-
+        # type 1 node 1, then observed in repair beside it; the sweep
+        # checks each failed type's repair before it draws, so it is
+        # refused whatever node sets it has seen
         config, layout = non_spanning_config(k=3)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: ScriptedRng())
+        monkeypatch.setattr(np.random, "default_rng", scripted_rng(
+            [[], [0], [1], [0], [1], [0, 1], [0, 2], [5, 0], [0, 5], [0, 1],
+             [0, 2]]))
         with pytest.raises(SingularSubmatrix):
             sweep_eavesdroppers(config, layout, max_budget=2,
                                 enumeration_limit=1, samples_per_split=2)
+
+    def test_sampled_repair_refused_when_no_draw_observes_it(self,
+                                                              monkeypatch):
+        # scripted draws put only type 1 nodes in e2; the type 2 repair
+        # that no drawn spec observes is still refused
+        config, layout = non_spanning_config()
+        monkeypatch.setattr(np.random, "default_rng",
+                            scripted_rng([[], [0], [1], [4], [5]]))
+        with pytest.raises(SingularSubmatrix):
+            sweep_eavesdroppers(config, layout, max_budget=1,
+                                enumeration_limit=1, samples_per_split=2)
+
+    @pytest.mark.parametrize("limit", [10**5, 1])
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_observes_each_failed_type_once(self, f11, monkeypatch, limit,
+                                            budget):
+        # exhaustive and sampled: the repairs of (1, 1) and (2, 1) with
+        # their default helpers, once each, and nothing at budget 0,
+        # whose one spec no limit samples
+        observed, raw_observe = [], sim.observe
+
+        def recording_observe(system, layout, spec, plans):
+            observed.append((spec, plans))
+            return raw_observe(system, layout, spec, plans)
+
+        monkeypatch.setattr(sim, "observe", recording_observe)
+        config = build_config(f11, 5, 6, 4)
+        layout = make_secure_layout([0] * 8, 1, 1, 4, f11)
+        result = sweep_eavesdroppers(config, layout, max_budget=budget,
+                                     enumeration_limit=limit,
+                                     samples_per_split=3)
+        assert result.exhaustive == (limit == 10**5 or budget == 0)
+        assert observed == ([] if budget == 0 else [
+            (EavesdropperSpec(e1=(), e2=((1, 1),)), {(1, 1): (1, 2, 3, 4)}),
+            (EavesdropperSpec(e1=(), e2=((2, 1),)), {(2, 1): (1, 2, 3, 4)})])
 
     @pytest.mark.parametrize("style", ["vandermonde", "systematic",
                                        "explicit", "non-mds"])
@@ -564,6 +594,19 @@ class TestSweep:
             worst_by_total[total] = max(worst_by_total.get(total, 0), leak)
         assert worst_by_total[0] == 0
         assert worst_by_total[0] <= worst_by_total[1] <= worst_by_total[2]
+
+
+def scripted_rng(heads):
+    """A stand-in for np.random.default_rng whose permutations start with
+    the given heads, in order."""
+    draws = iter(heads)
+
+    class ScriptedRng:
+        def permutation(self, n):
+            head = next(draws)
+            return np.array(head + [i for i in range(n) if i not in head])
+
+    return lambda seed: ScriptedRng()
 
 
 def per_spec_loop(config, layout, max_budget, seed, enumeration_limit,
